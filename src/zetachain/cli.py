@@ -2,16 +2,15 @@
 
 All numeric output is serialized at 17 significant digits with a fixed
 evaluation order, so identical flags produce byte-identical files.
-Exit codes: 2 validation, 3 numerical breakdown, 4 zeta oracle domain,
-5 infeasible hardware design; every nonzero exit prints exactly one
-machine-readable diagnostic line on standard error.
+Exit codes: 2 validation (usage errors included), 3 numerical breakdown,
+4 zeta oracle domain, 5 infeasible hardware design; every nonzero exit
+prints exactly one machine-readable diagnostic line on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -19,24 +18,27 @@ import numpy as np
 from .core import SimulationParams
 from .design import (
     FabricationConstants,
+    _fmt,
+    _json_text,
     spin_chain_params,
     waveguide_design_json,
     waveguide_layout,
 )
-from .errors import InfeasibleDesign, NumericalBreakdown, OutOfDomain, ValidationError
+from .errors import InfeasibleDesign, NumericalBreakdown, OutOfDomain, ValidationError, ZetachainError
 from .evolution import DEFAULT_STEP, TimeGrid, evolve_ode, evolve_spectral
 from .synthesis import synthesize
 from .verification import verify_synthesis
 from .zetaref import accessible_domain, hurwitz_zeta
 
-_EXIT_VALIDATION = 2
-_EXIT_NUMERICAL = 3
-_EXIT_ORACLE_DOMAIN = 4
-_EXIT_INFEASIBLE = 5
+# exception family -> exit code; 1 is reserved for a failed `verify`
+_EXIT_CODES = (
+    (ValidationError, 2),
+    (NumericalBreakdown, 3),
+    (OutOfDomain, 4),
+    (InfeasibleDesign, 5),
+)
 
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+_SIMULATE_COLUMNS = ("t", "re_a", "im_a", "abs_a", "re_zeta_norm_ref", "im_zeta_norm_ref", "abs_deviation")
 
 
 def _diagnostic(exc: Exception, code: int):
@@ -56,16 +58,15 @@ def _params_from(args) -> SimulationParams:
     return SimulationParams(n_levels=args.n, a=args.a, sigma=args.sigma, omega=args.omega)
 
 
-def _grid_from(args) -> TimeGrid:
-    return TimeGrid(t_start=args.t_start, t_end=args.t_end, n_points=args.points, t_coh=args.t_coh)
+def _csv(header, rows) -> str:
+    """CSV text from a header and rows of already formatted fields."""
+    return "".join(",".join(row) + "\n" for row in (header, *rows))
 
 
-def _tridiagonal_csv(tri) -> str:
-    lines = ["index,B,J_next"]
-    for i in range(tri.order):
-        j = _fmt(tri.offdiagonal[i]) if i < tri.order - 1 else ""
-        lines.append(f"{i},{_fmt(tri.diagonal[i])},{j}")
-    return "\n".join(lines) + "\n"
+def _tridiagonal_csv(diagonal, offdiagonal) -> str:
+    hops = [_fmt(j) for j in offdiagonal] + [""]
+    rows = ((str(i), _fmt(b), j) for i, (b, j) in enumerate(zip(diagonal, hops)))
+    return _csv(("index", "B", "J_next"), rows)
 
 
 def _tridiagonal_json(tri, report) -> str:
@@ -78,9 +79,7 @@ def _tridiagonal_json(tri, report) -> str:
             "passed": report.passed,
         },
     }
-    import re
-
-    return re.sub(r'"(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"', r"\1", json.dumps(doc, indent=2)) + "\n"
+    return _json_text(doc) + "\n"
 
 
 def _report_summary(report) -> str:
@@ -97,8 +96,10 @@ def cmd_synth(args) -> int:
     params = _params_from(args)
     tri = synthesize(params)
     report = verify_synthesis(tri, params, args.tol_lambda, args.tol_overlap)
-    text = _tridiagonal_json(tri, report) if args.format == "json" else _tridiagonal_csv(tri)
-    _write_text(args.out, text)
+    if args.format == "json":
+        _write_text(args.out, _tridiagonal_json(tri, report))
+    else:
+        _write_text(args.out, _tridiagonal_csv(tri.diagonal, tri.offdiagonal))
     if args.out is not None:
         print(_report_summary(report))
     return 0
@@ -117,7 +118,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _params_from(args)
-    grid = _grid_from(args)
+    grid = TimeGrid(t_start=args.t_start, t_end=args.t_end, n_points=args.points, t_coh=args.t_coh)
     tri = synthesize(params)
     if args.method == "ode":
         _, series = evolve_ode(tri, grid, args.step)
@@ -127,31 +128,12 @@ def cmd_simulate(args) -> int:
     rows = []
     for t, amp in zip(series.times, series.amplitudes):
         ref = hurwitz_zeta(params.sigma + 1j * params.omega * t, params.a) / z_sigma
-        rows.append((t, amp, ref, abs(amp - ref)))
+        values = (t, amp.real, amp.imag, abs(amp), ref.real, ref.imag, abs(amp - ref))
+        rows.append([_fmt(v) for v in values])
     if args.format == "json":
-        doc = [
-            {
-                "t": _fmt(t),
-                "re_a": _fmt(a.real),
-                "im_a": _fmt(a.imag),
-                "abs_a": _fmt(abs(a)),
-                "re_zeta_norm_ref": _fmt(r.real),
-                "im_zeta_norm_ref": _fmt(r.imag),
-                "abs_deviation": _fmt(dev),
-            }
-            for t, a, r, dev in rows
-        ]
-        import re
-
-        text = re.sub(r'"(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"', r"\1", json.dumps(doc, indent=2)) + "\n"
+        text = _json_text([dict(zip(_SIMULATE_COLUMNS, row)) for row in rows]) + "\n"
     else:
-        lines = ["t,re_a,im_a,abs_a,re_zeta_norm_ref,im_zeta_norm_ref,abs_deviation"]
-        for t, a, r, dev in rows:
-            lines.append(
-                f"{_fmt(t)},{_fmt(a.real)},{_fmt(a.imag)},{_fmt(abs(a))},"
-                f"{_fmt(r.real)},{_fmt(r.imag)},{_fmt(dev)}"
-            )
-        text = "\n".join(lines) + "\n"
+        text = _csv(_SIMULATE_COLUMNS, rows)
     _write_text(args.out, text)
     return 0
 
@@ -165,11 +147,9 @@ def cmd_domain(args) -> int:
     else:
         grid = [args.sigma]
     points = accessible_domain(grid, t_coh=args.t_coh, n_cap=args.n_cap)
-    lines = ["sigma,n_min,feasible,t_max"]
-    for p in points:
-        t_max = "inf" if math.isinf(p.t_max) else _fmt(p.t_max)
-        lines.append(f"{_fmt(p.sigma)},{_fmt(p.n_min)},{int(p.feasible)},{t_max}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    # t_max is finite or +inf, which _fmt writes as "inf"
+    rows = ((_fmt(p.sigma), _fmt(p.n_min), str(int(p.feasible)), _fmt(p.t_max)) for p in points)
+    _write_text(args.out, _csv(("sigma", "n_min", "feasible", "t_max"), rows))
     return 0
 
 
@@ -178,11 +158,7 @@ def cmd_design(args) -> int:
     tri = synthesize(params)
     if args.target == "spin":
         chain = spin_chain_params(tri)
-        lines = ["index,B,J_next"]
-        for i in range(chain.fields.size):
-            j = _fmt(chain.couplings[i]) if i < chain.fields.size - 1 else ""
-            lines.append(f"{i},{_fmt(chain.fields[i])},{j}")
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_text(args.out, _tridiagonal_csv(chain.fields, chain.couplings))
         return 0
     fab = FabricationConstants(
         kappa=args.kappa,
@@ -196,27 +172,39 @@ def cmd_design(args) -> int:
     return 0
 
 
-def _add_shared(parser):
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one JSON line; flags match exactly (`domain --n` is not `--n-cap`)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def _add_out(parser):
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
+def _add_format(parser):
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_chain(parser):
     parser.add_argument("--n", type=int, default=5, help="number of levels / chain sites")
     parser.add_argument("--a", type=float, default=1.0, help="series shift, 0 < a <= 1")
     parser.add_argument("--sigma", type=float, default=2.0, help="real part of s (> 1)")
     parser.add_argument("--omega", type=float, default=1.0, help="angular frequency scale")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_out(parser)
+
+
+def _add_tolerances(parser):
     parser.add_argument("--tol-lambda", type=float, default=None, dest="tol_lambda")
     parser.add_argument("--tol-overlap", type=float, default=1e-9, dest="tol_overlap")
 
 
-def _add_grid(parser):
-    parser.add_argument("--t-start", type=float, default=0.0, dest="t_start")
-    parser.add_argument("--t-end", type=float, default=50.0, dest="t_end")
-    parser.add_argument("--points", type=int, default=2001)
-    parser.add_argument("--t-coh", type=float, default=None, dest="t_coh",
-                        help="coherence cutoff; samples beyond it are dropped")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zetachain",
         description="Synthesize, verify and export tridiagonal Hamiltonians "
         "whose autocorrelation traces the Hurwitz zeta function.",
@@ -224,29 +212,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize the chain and write (B, J)")
-    _add_shared(p)
+    _add_chain(p)
+    _add_format(p)
+    _add_tolerances(p)
     p.set_defaults(func=cmd_synth)
 
+    # --out is accepted and ignored so every subcommand takes the same trailing --out
     p = sub.add_parser("verify", help="synthesize and check spectrum/overlap fidelity")
-    _add_shared(p)
+    _add_chain(p)
+    _add_tolerances(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="evolve |0> and compare against the zeta oracle")
-    _add_shared(p)
-    _add_grid(p)
+    _add_chain(p)
+    _add_format(p)
+    p.add_argument("--t-start", type=float, default=0.0, dest="t_start")
+    p.add_argument("--t-end", type=float, default=50.0, dest="t_end")
+    p.add_argument("--points", type=int, default=2001)
+    p.add_argument("--t-coh", type=float, default=None, dest="t_coh",
+                   help="coherence cutoff; samples beyond it are dropped")
     p.add_argument("--method", choices=("spectral", "ode"), default="spectral")
     p.add_argument("--step", type=float, default=DEFAULT_STEP)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("domain", help="tabulate N_min(sigma) and the time window")
-    _add_shared(p)
-    p.add_argument("--sigmas", default=None, help="comma-separated sigma grid")
+    p.add_argument("--sigma", type=float, default=2.0, help="single sigma when --sigmas is absent")
+    _add_out(p)
+    p.add_argument("--sigmas", default=None, help="comma-separated sigma grid (overrides --sigma)")
     p.add_argument("--t-coh", type=float, default=None, dest="t_coh")
     p.add_argument("--n-cap", type=int, default=10**6, dest="n_cap")
     p.set_defaults(func=cmd_domain)
 
     p = sub.add_parser("design", help="export spin-chain CSV or waveguide JSON")
-    _add_shared(p)
+    _add_chain(p)
     p.add_argument("--target", choices=("waveguide", "spin"), default="waveguide")
     p.add_argument("--kappa", type=float, default=2.0, help="coupling scale (placeholder default)")
     p.add_argument("--alpha", type=float, default=1.0, help="coupling decay constant")
@@ -259,21 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
-        _diagnostic(exc, _EXIT_VALIDATION)
-        return _EXIT_VALIDATION
-    except NumericalBreakdown as exc:
-        _diagnostic(exc, _EXIT_NUMERICAL)
-        return _EXIT_NUMERICAL
-    except OutOfDomain as exc:
-        _diagnostic(exc, _EXIT_ORACLE_DOMAIN)
-        return _EXIT_ORACLE_DOMAIN
-    except InfeasibleDesign as exc:
-        _diagnostic(exc, _EXIT_INFEASIBLE)
-        return _EXIT_INFEASIBLE
+    except ZetachainError as exc:
+        for family, code in _EXIT_CODES:
+            if isinstance(exc, family):
+                _diagnostic(exc, code)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -177,7 +177,13 @@ def feasibility_report(tri: SymmetricTridiagonal, fab: FabricationConstants) -> 
 
 
 def _fmt(value: float) -> str:
+    """One real at 17 significant digits: the package's only number format."""
     return format(float(value), ".17g")
+
+
+def _json_text(doc) -> str:
+    """Indented JSON of a document whose reals are _fmt strings, emitted as bare numbers."""
+    return re.sub(r'"(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"', r"\1", json.dumps(doc, indent=2))
 
 
 def waveguide_design_json(design: WaveguideDesign) -> str:
@@ -211,6 +217,4 @@ def waveguide_design_json(design: WaveguideDesign) -> str:
             for i in range(design.spacings.size)
         ],
     }
-    # numbers are emitted as raw tokens, not strings, at fixed precision
-    text = json.dumps(doc, indent=2)
-    return re.sub(r'"(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"', r"\1", text)
+    return _json_text(doc)

@@ -85,6 +85,14 @@ class StateTrajectory:
     states: np.ndarray = field(repr=False)
 
 
+def _clip_unit(amps: np.ndarray) -> np.ndarray:
+    """Scale round-off excursions a hair above magnitude 1 back to 1, in place."""
+    mags = np.abs(amps)
+    over = mags > 1.0
+    amps[over] *= 1.0 / mags[over]
+    return amps
+
+
 def evolve_spectral(tri: SymmetricTridiagonal, grid: TimeGrid) -> AutocorrelationSeries:
     """Autocorrelation by spectral resolution: sum of w_n exp(-i lambda_n t).
 
@@ -95,12 +103,7 @@ def evolve_spectral(tri: SymmetricTridiagonal, grid: TimeGrid) -> Autocorrelatio
     weights = dec.eigenvectors[0, :] ** 2
     t = grid.times()
     amps = np.exp(-1j * np.outer(t, dec.eigenvalues)) @ weights
-    # clip round-off excursions a hair above 1 so the magnitude invariant holds
-    mags = np.abs(amps)
-    over = mags > 1.0
-    if np.any(over):
-        amps[over] *= 1.0 / mags[over]
-    return AutocorrelationSeries(t, amps, "spectral")
+    return AutocorrelationSeries(t, _clip_unit(amps), "spectral")
 
 
 def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_STEP):
@@ -139,11 +142,7 @@ def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_
         drift = abs(np.linalg.norm(c) - 1.0)
         if drift > 1e-6:
             raise StepTooLarge(f"norm drift {drift:.3e} at t = {t}; reduce the step")
-    amps = states[:, 0].copy()
-    mags = np.abs(amps)
-    over = mags > 1.0
-    if np.any(over):
-        amps[over] *= 1.0 / mags[over]
+    amps = _clip_unit(states[:, 0].copy())
     return StateTrajectory(t_samples, states), AutocorrelationSeries(t_samples, amps, "ode")
 
 

@@ -177,9 +177,7 @@ def gauge_fix(tri: SymmetricTridiagonal):
     the sign sequence applied.
     """
     j = tri.offdiagonal
-    signs = np.ones(tri.order)
-    for k in range(j.size):
-        signs[k + 1] = signs[k] * (1.0 if j[k] >= 0.0 else -1.0)
+    signs = np.concatenate(([1.0], np.cumprod(np.where(j >= 0.0, 1.0, -1.0))))
     fixed = SymmetricTridiagonal(tri.diagonal.copy(), np.abs(j))
     return fixed, signs
 

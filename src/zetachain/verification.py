@@ -47,14 +47,11 @@ class SynthesisReport:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so the first nonzero component is positive."""
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
-        if nz.size and col[nz[0]] < 0.0:
-            v[:, j] = -col
-    return v
+    """Flip eigenvector signs so the first component above 1e-12 of the column max is positive."""
+    mags = np.abs(vectors)
+    lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
+    return np.where(flip, -vectors, vectors)
 
 
 def eigh_tridiagonal(tri: SymmetricTridiagonal) -> EigenDecomposition:

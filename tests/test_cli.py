@@ -171,3 +171,39 @@ def test_design_spin_target_csv(tmp_path):
     j = [float(r[2]) for r in rows[:-1]]
     np.testing.assert_allclose(b, GOLDEN_DIAG, atol=2e-3)
     np.testing.assert_allclose(j, GOLDEN_OFF, atol=2e-3)
+
+
+# flags each subcommand used to accept and ignore; they are now usage errors
+REMOVED_FLAGS = [
+    ["verify", "--format", "json"],
+    ["simulate", "--tol-lambda", "1e-9"],
+    ["simulate", "--tol-overlap", "1e-9"],
+    ["domain", "--n", "5"],
+    ["domain", "--a", "1"],
+    ["domain", "--omega", "1"],
+    ["domain", "--format", "json"],
+    ["domain", "--tol-lambda", "1e-9"],
+    ["domain", "--tol-overlap", "1e-9"],
+    ["design", "--format", "json"],
+    ["design", "--tol-lambda", "1e-9"],
+    ["design", "--tol-overlap", "1e-9"],
+]
+
+
+@pytest.mark.parametrize("argv", [["bogus"], [], ["synth", "--n", "x"]] + REMOVED_FLAGS)
+def test_usage_errors_exit_2_with_one_json_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.strip().split("\n")
+    assert len(err_lines) == 1
+    diag = json.loads(err_lines[0])
+    assert diag["error"] == "ValidationError"
+    assert diag["exit_code"] == 2
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--help"])
+    assert exc.value.code == 0
+    assert "--tol-overlap" in capsys.readouterr().out

@@ -167,6 +167,25 @@ def test_gauge_fix_nonnegative_fixed_point():
     np.testing.assert_allclose(signs, np.ones(3), atol=0)
 
 
+def test_gauge_fix_zero_hopping_keeps_the_running_sign():
+    # a zero (or negative-zero) hopping counts as nonnegative: factor +1, sign carried on
+    tri = SymmetricTridiagonal(np.zeros(5), np.array([-0.3, 0.0, -0.2, -0.0]))
+    fixed, signs = gauge_fix(tri)
+    np.testing.assert_array_equal(signs, [1.0, -1.0, -1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(fixed.offdiagonal, [0.3, 0.0, 0.2, 0.0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gauge_fix_signs_match_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    j = rng.choice([-0.5, -0.0, 0.0, 0.3], size=9)
+    _, signs = gauge_fix(SymmetricTridiagonal(np.zeros(10), j))
+    expected = np.ones(10)
+    for k in range(j.size):
+        expected[k + 1] = expected[k] * (1.0 if j[k] >= 0.0 else -1.0)
+    np.testing.assert_array_equal(signs, expected)
+
+
 def test_gauge_fix_matches_brute_force_conjugation():
     # single negative coupling at position k flips all sites beyond k
     tri = SymmetricTridiagonal(np.array([1.0, -2.0, 0.5, 3.0]), np.array([0.3, -0.7, 0.2]))
