@@ -1,7 +1,8 @@
 """Synthesis of the tridiagonal Hamiltonian with prescribed spectrum and overlaps.
 
 Pipeline: diagonal seed -> orthogonal completion of the amplitude vector
--> similarity transform -> Householder tridiagonalization -> gauge fix.
+-> similarity transform -> Householder tridiagonalization (LAPACK
+dsytrd) -> gauge fix.
 A three-term-recurrence construction of the same Jacobi matrix is kept
 as an independent cross-oracle (the discrete measure with nodes E_n and
 weights C_n**2 has a unique tridiagonal representation with positive
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .core import (
     AmplitudeVector,
@@ -88,32 +90,33 @@ def orthogonal_completion(amplitudes) -> np.ndarray:
 
     Gram-Schmidt over the ordered candidates {C, e_0, e_1, ..., e_{N-1}},
     skipping the single candidate whose residual collapses (dimension
-    counting guarantees exactly one skip).  Orthogonalization is done in
-    two passes so the product stays orthonormal for large N.
+    counting guarantees exactly one skip), evaluated in closed form.  With
+    tail norms r_k = |C_{k:}|, candidate e_k leaves the residual
+    e_k - C_k C_{k:} / r_k**2 of norm r_{k+1} / r_k, so column k+1 is
+    r_{k+1} / r_k at row k and -C_i C_k / (r_k r_{k+1}) at rows i > k.
+    The skipped index keeps its weight in every later tail, which is the
+    same formula with that index moved to the end.
     """
     c = _unwrap_amplitudes(amplitudes)
     n = c.size
     if abs(np.linalg.norm(c) - 1.0) > 1e-10:
         raise DegenerateInput(f"amplitude vector must be unit norm, |C| = {np.linalg.norm(c)}")
 
+    # accumulate copies its first element unchanged, hence the abs
+    tail = np.hypot.accumulate(np.abs(c[::-1]))[::-1]
+    collapsed = tail[1:] < _GS_SKIP_TOL * tail[:-1]
+    skip = int(np.argmax(collapsed)) if collapsed.any() else n - 1
+    order = np.r_[0:skip, skip + 1 : n, skip]
+    cp = c[order]
+    r = np.hypot.accumulate(np.abs(cp[::-1]))[::-1]
     q = np.empty((n, n))
-    q[:, 0] = c
-    m = 1
-    for k in range(n):
-        if m == n:
-            break
-        v = np.zeros(n)
-        v[k] = 1.0
-        for _ in range(2):
-            v -= q[:, :m] @ (q[:, :m].T @ v)
-        r = np.linalg.norm(v)
-        if r < _GS_SKIP_TOL:
-            continue
-        q[:, m] = v / r
-        m += 1
-    if m < n:
-        raise DegenerateInput("orthogonal completion did not produce a full basis")
-    return q
+    q[:, 0] = cp
+    # each factor stays <= 1 in magnitude, so tiny tails neither underflow nor overflow
+    q[:, 1:] = np.tril(-(cp[:, None] / r[1:]) * (cp[:-1] / r[:-1]), -1)
+    q[np.arange(n - 1), np.arange(1, n)] = r[1:] / r[:-1]
+    basis = np.empty_like(q)
+    basis[order] = q
+    return basis
 
 
 def similarity_transform(spectrum, basis: np.ndarray) -> np.ndarray:
@@ -126,6 +129,17 @@ def similarity_transform(spectrum, basis: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
+def _tridiagonalize(dense: np.ndarray):
+    """LAPACK dsytrd on the lower triangle: (packed reflectors, diagonal, off-diagonal, tau)."""
+    a = np.asarray(dense, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    packed, d, e, tau, _ = lapack.dsytrd(a, lower=1, lwork=lwork)
+    return packed, d, e, tau
+
+
 def householder_tridiagonalize(dense: np.ndarray):
     """Reduce a symmetric matrix to tridiagonal form by Householder reflections.
 
@@ -134,39 +148,25 @@ def householder_tridiagonalize(dense: np.ndarray):
     (None where a step had nothing to annihilate).  The first row of Q is
     e_0, so the first row of the diagonalizing matrix is preserved.
     """
-    a = np.array(dense, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    packed, d, e, tau = _tridiagonalize(dense)
+    n = d.size
+    # the reflectors act on rows 1.. only, so Q = diag(1, Q') and Q' is the
+    # QR-convention product of the vectors packed below the subdiagonal
     q = np.eye(n)
+    if n > 1:
+        block = packed[1:, :-1]
+        lwork = int(lapack.dorgqr(block, tau, lwork=-1)[1][0])
+        q[1:, 1:] = lapack.dorgqr(block, tau, lwork=lwork)[0]
     reflectors = []
     for k in range(n - 2):
-        x = a[k + 1 :, k].copy()
-        if np.linalg.norm(x[1:]) == 0.0:
+        if tau[k] == 0.0:
             reflectors.append(None)
             continue
-        # pivot takes the sign opposite to the reflected image, i.e. the
-        # numerically stable choice u_0 = x_0 + sign(x_0) |x|
-        alpha = -np.copysign(np.linalg.norm(x), x[0])
-        u = x
-        u[0] -= alpha
-        v = u / np.linalg.norm(u)
-
-        sub = a[k + 1 :, k + 1 :]
-        p = sub @ v
-        kappa = v @ p
-        sub -= 2.0 * (np.outer(v, p) + np.outer(p, v)) - 4.0 * kappa * np.outer(v, v)
-        a[k + 1, k] = alpha
-        a[k, k + 1] = alpha
-        a[k + 2 :, k] = 0.0
-        a[k, k + 2 :] = 0.0
-        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v)
-
-        v_full = np.zeros(n)
-        v_full[k + 1 :] = v
-        reflectors.append(v_full)
-    tri = SymmetricTridiagonal(np.diag(a).copy(), np.diag(a, 1).copy())
-    return tri, q, reflectors
+        v = np.zeros(n)
+        v[k + 1] = 1.0
+        v[k + 2 :] = packed[k + 2 :, k]
+        reflectors.append(v / np.linalg.norm(v))
+    return SymmetricTridiagonal(d, e), q, reflectors
 
 
 def gauge_fix(tri: SymmetricTridiagonal):
@@ -194,8 +194,8 @@ def synthesize(params: SimulationParams) -> SymmetricTridiagonal:
         return SymmetricTridiagonal(spectrum.energies.copy(), np.empty(0))
     basis = orthogonal_completion(amps)
     dense = similarity_transform(spectrum, basis)
-    tri, _, _ = householder_tridiagonalize(dense)
-    fixed, _ = gauge_fix(tri)
+    _, d, e, _ = _tridiagonalize(dense)
+    fixed, _ = gauge_fix(SymmetricTridiagonal(d, e))
     if fixed.offdiagonal.size and fixed.offdiagonal.min() < _BREAKDOWN_TOL:
         k = int(np.argmin(fixed.offdiagonal))
         raise DisconnectedChain(
@@ -222,21 +222,21 @@ def lanczos_synthesis(energies, amplitudes) -> SymmetricTridiagonal:
     if np.any(c <= 0.0):
         raise ValidationError("weights must be strictly positive")
 
-    v = c / np.linalg.norm(c)
+    # Krylov vectors are rows, so each reorthogonalization pass reads contiguous memory
     basis = np.empty((n, n))
-    basis[:, 0] = v
+    basis[0] = c / np.linalg.norm(c)
     alphas = np.empty(n)
     betas = np.empty(max(n - 1, 0))
     for k in range(n):
-        w = e * basis[:, k]
-        alphas[k] = basis[:, k] @ w
+        w = e * basis[k]
+        alphas[k] = basis[k] @ w
         if k == n - 1:
             break
         for _ in range(2):
-            w -= basis[:, : k + 1] @ (basis[:, : k + 1].T @ w)
+            w -= (basis[: k + 1] @ w) @ basis[: k + 1]
         beta = np.linalg.norm(w)
         if beta < _BREAKDOWN_TOL:
             raise Breakdown(f"recurrence norm {beta:.3e} at step {k}")
         betas[k] = beta
-        basis[:, k + 1] = w / beta
+        basis[k + 1] = w / beta
     return SymmetricTridiagonal(alphas, betas)

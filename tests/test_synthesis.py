@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zetachain import synthesis
 from zetachain import (
     DegenerateInput,
     DimensionMismatch,
@@ -49,6 +50,80 @@ GOLDEN_OFF = np.array([0.520, 0.445, 0.311, 0.198])
 GOLDEN_PARAMS = SimulationParams(5, 0.5, 2.0)
 
 
+def gram_schmidt_reference(c):
+    """Loop form of orthogonal_completion: two-pass Gram-Schmidt over {C, e_0, e_1, ...}."""
+    n = c.size
+    q = np.empty((n, n))
+    q[:, 0] = c
+    m = 1
+    for k in range(n):
+        if m == n:
+            break
+        v = np.zeros(n)
+        v[k] = 1.0
+        for _ in range(2):
+            v -= q[:, :m] @ (q[:, :m].T @ v)
+        r = np.linalg.norm(v)
+        if r < synthesis._GS_SKIP_TOL:
+            continue
+        q[:, m] = v / r
+        m += 1
+    assert m == n
+    return q
+
+
+def householder_reference(dense):
+    """Loop form of householder_tridiagonalize: (diagonal, off-diagonal, Q, reflectors)."""
+    a = np.array(dense, dtype=float)
+    n = a.shape[0]
+    q = np.eye(n)
+    reflectors = []
+    for k in range(n - 2):
+        x = a[k + 1 :, k].copy()
+        if np.linalg.norm(x[1:]) == 0.0:
+            reflectors.append(None)
+            continue
+        alpha = -np.copysign(np.linalg.norm(x), x[0])
+        u = x
+        u[0] -= alpha
+        v = u / np.linalg.norm(u)
+        sub = a[k + 1 :, k + 1 :]
+        p = sub @ v
+        kappa = v @ p
+        sub -= 2.0 * (np.outer(v, p) + np.outer(p, v)) - 4.0 * kappa * np.outer(v, v)
+        a[k + 1, k] = alpha
+        a[k, k + 1] = alpha
+        a[k + 2 :, k] = 0.0
+        a[k, k + 2 :] = 0.0
+        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v)
+        v_full = np.zeros(n)
+        v_full[k + 1 :] = v
+        reflectors.append(v_full)
+    return np.diag(a).copy(), np.diag(a, 1).copy(), q, reflectors
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+_RNG = np.random.default_rng(7)
+COMPLETION_CASES = {
+    "positive_3": _unit(_RNG.uniform(0.1, 1.0, 3)),
+    "positive_40": _unit(_RNG.uniform(0.1, 1.0, 40)),
+    "positive_150": _unit(_RNG.uniform(0.1, 1.0, 150)),
+    "mixed_sign_12": _unit(_RNG.standard_normal(12)),
+    "mixed_sign_60": _unit(_RNG.standard_normal(60)),
+    "negative_last": _unit([0.5, 0.2, -0.3, 0.6, -0.4]),
+    "zero_tail": _unit([0.6, -0.8, 0.0, 0.0, 0.0]),
+    "zero_inside_and_tail": _unit([0.3, 0.0, -0.5, 0.4, 0.0, 0.0]),
+    "basis_vector_last": _unit([0.0, 0.0, 0.0, 1.0]),
+    # C_0 dominates, so r_1 / r_0 falls below the skip tolerance and e_0 is skipped
+    "early_skip_a0.01_s12": riemann_amplitudes(SimulationParams(30, 0.01, 12.0)).amplitudes,
+    "early_skip_a0.01_s20": riemann_amplitudes(SimulationParams(30, 0.01, 20.0)).amplitudes,
+}
+
+
 def test_completion_matches_golden():
     t = orthogonal_completion(riemann_amplitudes(GOLDEN_PARAMS))
     np.testing.assert_allclose(t, GOLDEN_T, atol=1e-3)
@@ -75,6 +150,21 @@ def test_completion_is_orthogonal():
         t = orthogonal_completion(c)
         assert np.abs(t.T @ t - np.eye(n)).max() < 1e-12
         np.testing.assert_allclose(t[:, 0], c, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLETION_CASES))
+def test_completion_matches_gram_schmidt_reference(name):
+    c = COMPLETION_CASES[name]
+    t = orthogonal_completion(c)
+    np.testing.assert_allclose(t, gram_schmidt_reference(c), rtol=0, atol=1e-13)
+    assert np.abs(t.T @ t - np.eye(c.size)).max() < 1e-13
+
+
+def test_completion_early_skip_moves_past_e0():
+    # with e_0 skipped, column 1 comes from e_1 and is e_1 up to C_1 * C_0 ~ 1e-20
+    c = COMPLETION_CASES["early_skip_a0.01_s20"]
+    t = orthogonal_completion(c)
+    assert abs(t[0, 1]) < 1e-15 and t[1, 1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_completion_rejects_non_unit_input():
@@ -143,6 +233,52 @@ def test_householder_already_tridiagonal_unchanged():
     np.testing.assert_allclose(tri.offdiagonal, tri_in.offdiagonal, atol=0)
     np.testing.assert_allclose(q, np.eye(4), atol=0)
     assert all(v is None for v in vs)
+
+
+def _symmetric(n, seed):
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return 0.5 * (m + m.T)
+
+
+HOUSEHOLDER_CASES = {
+    "golden_hp": GOLDEN_HP,
+    "random_8": _symmetric(8, 3),
+    "random_40": _symmetric(40, 5),  # past LAPACK's blocking crossover
+    "pipeline_n60": similarity_transform(
+        log_spectrum(SimulationParams(60, 0.3, 1.7)),
+        orthogonal_completion(riemann_amplitudes(SimulationParams(60, 0.3, 1.7))),
+    ),
+    "already_tridiagonal": SymmetricTridiagonal(np.arange(5.0), np.array([0.5, -0.2, 0.0, 0.1])).to_dense(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOUSEHOLDER_CASES))
+def test_householder_matches_loop_reference(name):
+    dense = HOUSEHOLDER_CASES[name]
+    d_ref, e_ref, q_ref, vs_ref = householder_reference(dense)
+    tri, q, vs = householder_tridiagonalize(dense)
+    scale = np.abs(dense).max()
+    np.testing.assert_allclose(tri.diagonal, d_ref, rtol=0, atol=1e-13 * scale * dense.shape[0])
+    np.testing.assert_allclose(tri.offdiagonal, e_ref, rtol=0, atol=1e-13 * scale * dense.shape[0])
+    np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-12)
+    assert len(vs) == len(vs_ref)
+    for v, ref in zip(vs, vs_ref):
+        assert (v is None) == (ref is None)
+        if v is not None:
+            # LAPACK scales the reflector to a unit pivot, so the two agree up to sign
+            np.testing.assert_allclose(np.copysign(1.0, v @ ref) * v, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [GOLDEN_PARAMS, SimulationParams(9, 0.3, 1.7), SimulationParams(120, 0.5, 2.0)])
+def test_synthesize_is_bit_identical_to_householder_route(p):
+    dense = similarity_transform(log_spectrum(p), orthogonal_completion(riemann_amplitudes(p)))
+    tri, _, _ = householder_tridiagonalize(dense)
+    _, d, e, _ = synthesis._tridiagonalize(dense)
+    np.testing.assert_array_equal(d, tri.diagonal)
+    np.testing.assert_array_equal(e, tri.offdiagonal)
+    fixed, _ = gauge_fix(tri)
+    np.testing.assert_array_equal(synthesize(p).diagonal, fixed.diagonal)
+    np.testing.assert_array_equal(synthesize(p).offdiagonal, fixed.offdiagonal)
 
 
 def test_householder_two_by_two_noop():
