@@ -2,8 +2,10 @@
 
 Every case in tests/golden/cli.json was recorded once and is compared
 exactly, so any change to serialization, flag handling or diagnostics
-shows up here.  The file records the output of numpy/scipy on an x86-64
-Linux build with OpenBLAS; a different LAPACK may move the last digit.
+shows up here.  The file records the output of numpy 2.4 / scipy 1.17 on
+an x86-64 Linux build with OpenBLAS 0.3.31.  The chain comes from LAPACK
+dsytrd and the eigensolver from LAPACK too, so a different LAPACK build
+(or thread count, where it changes the blocking) may move the last digits.
 
 Regenerate (only when an output change is intended and explained):
 
