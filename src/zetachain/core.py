@@ -8,6 +8,7 @@ coordinate s = sigma + i*omega*t of the output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,7 @@ class SimulationParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if int(self.n_levels) != self.n_levels or self.n_levels < 1:
+        if not math.isfinite(self.n_levels) or int(self.n_levels) != self.n_levels or self.n_levels < 1:
             raise ValidationError(f"n_levels must be a positive integer, got {self.n_levels}")
         if not (0.0 < self.a <= 1.0):
             raise ValidationError(f"a must lie in (0, 1], got {self.a}")
@@ -47,6 +48,8 @@ class SimulationParams:
             raise ValidationError(f"sigma must exceed 1 (series convergence), got {self.sigma}")
         if not self.omega > 0.0:
             raise ValidationError(f"omega must be positive, got {self.omega}")
+        if not (math.isfinite(self.sigma) and math.isfinite(self.omega)):
+            raise ValidationError(f"sigma and omega must be finite, got {self.sigma}, {self.omega}")
 
 
 @dataclass(frozen=True)

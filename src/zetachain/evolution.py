@@ -8,6 +8,7 @@ normalized truncated Dirichlet sum along s = sigma + i*omega*t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,8 @@ class TimeGrid:
     t_coh: float = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ValidationError(f"t_start and t_end must be finite, got [{self.t_start}, {self.t_end}]")
         if not self.t_start < self.t_end:
             raise ValidationError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
         if self.n_points < 2:

@@ -11,6 +11,8 @@ off-diagonals).
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +43,9 @@ _GS_SKIP_TOL = 1e-10
 
 # recurrence norms below this signal numerical breakdown
 _BREAKDOWN_TOL = 1e-12
+
+# N x N float64 arrays alive at once at the peak of synthesize + verify_synthesis
+_DENSE_ARRAYS = 4
 
 
 @dataclass(frozen=True)
@@ -182,12 +187,30 @@ def gauge_fix(tri: SymmetricTridiagonal):
     return fixed, signs
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_dense_fits(n: int):
+    """Refuse an N whose dense working set exceeds physical memory, before allocating it."""
+    need = _DENSE_ARRAYS * 8 * n * n
+    memory = _physical_memory()
+    if need > memory:
+        largest = math.isqrt(memory // (_DENSE_ARRAYS * 8))
+        raise ValidationError(
+            f"N = {n} needs {need / 2**30:.3g} GiB of dense working memory, more than the "
+            f"{memory / 2**30:.3g} GiB of physical memory; the largest feasible N is {largest}"
+        )
+
+
 def synthesize(params: SimulationParams) -> SymmetricTridiagonal:
     """Build the gauge-fixed tridiagonal Hamiltonian for the given parameters.
 
     The result has eigenvalues ln(n+a) and ground-site eigenvector
     components C_n = N (n+a)**(-sigma/2).
     """
+    _check_dense_fits(params.n_levels)
     spectrum = log_spectrum(params)
     amps = riemann_amplitudes(params)
     if params.n_levels == 1:

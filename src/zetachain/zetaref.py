@@ -8,6 +8,7 @@ parameter domain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ _SIGMA_GUARD = 1.0 + 1e-6
 _EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0)
 _B8_OVER_8F = 1.0 / 1209600.0
 
+# the oracle refuses an |s| that needs more explicit terms than this
+_EM_MAX_TERMS = 10**7
+
 # default cap used when reporting the diverging N_min near sigma = 1
 DEFAULT_N_CAP = 10**6
 
@@ -55,11 +59,13 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
 
     M explicit terms, integral term (M+a)**(1-s)/(s-1), half-term, and
     Bernoulli corrections through B_6; M is chosen so the first neglected
-    correction is below 1e-12 relative.  Restricted to Re s > 1 (with a
-    small guard band).
+    correction is below 1e-12 relative.  Restricted to finite s with
+    Re s > 1 (with a small guard band) and M <= 10**7.
     """
     _check_a(a)
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ValidationError(f"s must be finite, got {s}")
     if s.real <= _SIGMA_GUARD:
         raise OutOfDomain(f"Re s = {s.real} outside convergence strip (need > {_SIGMA_GUARD})")
 
@@ -69,8 +75,10 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     for j in range(7):
         prod *= abs(s + j)
     target = 1e-13
-    m = int(np.ceil((_B8_OVER_8F * prod / target) ** (1.0 / (s.real + 7.0)))) + 1
-    m = max(m, 16)
+    m = np.ceil((_B8_OVER_8F * prod / target) ** (1.0 / (s.real + 7.0))) + 1
+    if not m <= _EM_MAX_TERMS:
+        raise OutOfDomain(f"|s| = {abs(s):.3e} needs {m:.3e} Euler-Maclaurin terms (limit {_EM_MAX_TERMS:.0e})")
+    m = max(int(m), 16)
 
     n = np.arange(m, dtype=float)
     head = complex(np.sum((n + a) ** (-s)))

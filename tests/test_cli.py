@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from zetachain import hurwitz_zeta, tail_bound
+from zetachain import hurwitz_zeta, synthesis, tail_bound
 from zetachain.cli import main
 
 GOLDEN_DIAG = [-0.479, 0.701, 0.894, 1.062, 1.208]
@@ -207,3 +207,45 @@ def test_help_still_exits_0(capsys):
         main(["synth", "--help"])
     assert exc.value.code == 0
     assert "--tol-overlap" in capsys.readouterr().out
+
+
+def _one_json_line(capsys, code):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.strip().split("\n")
+    assert len(err_lines) == 1
+    diag = json.loads(err_lines[0])
+    assert diag["exit_code"] == code
+    return diag
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--t-end", "inf"],
+        ["simulate", "--t-start=-inf"],
+        ["simulate", "--t-end", "nan"],
+        ["simulate", "--omega", "inf"],
+        ["simulate", "--sigma", "inf"],
+        ["verify", "--sigma", "inf"],
+        ["design", "--omega", "nan"],
+    ],
+)
+def test_non_finite_input_exits_2_with_one_json_line(argv, capsys):
+    assert main(argv) == 2
+    assert _one_json_line(capsys, 2)["error"] == "ValidationError"
+
+
+def test_oracle_term_limit_exits_4(capsys):
+    assert main(["simulate", "--omega", "1e300", "--points", "3"]) == 4
+    assert _one_json_line(capsys, 4)["error"] == "OutOfDomain"
+
+
+@pytest.mark.parametrize("command", ["synth", "verify", "simulate", "design"])
+def test_oversized_chain_exits_2_naming_largest_n(command, monkeypatch, capsys):
+    # a small memory figure, so the check fires without allocating anything
+    monkeypatch.setattr(synthesis, "_physical_memory", lambda: 2**20)
+    assert main([command, "--n", "1000000"]) == 2
+    diag = _one_json_line(capsys, 2)
+    assert diag["error"] == "ValidationError"
+    assert "largest feasible N is 181" in diag["message"]

@@ -52,6 +52,8 @@ CASES = (
     ("simulate_guard_band_exit4", ("simulate", "--sigma", "1.0000001", "--points", "3"), True),
     ("simulate_ode_step_exit3", ("simulate", "--method", "ode", "--step", "2", "--t-end", "10", "--points", "3"), True),
     ("simulate_bad_grid_exit2", ("simulate", "--points", "1"), False),
+    ("simulate_t_end_inf_exit2", ("simulate", "--t-end", "inf"), True),
+    ("simulate_omega_inf_exit2", ("simulate", "--omega", "inf"), False),
     ("domain_default", ("domain",), False),
     ("domain_sigma", ("domain", "--sigma", "1.3", "--t-coh", "4"), False),
     ("domain_grid_out", ("domain", "--sigmas", "1.5,1.3,1.2,2", "--t-coh", "10"), True),

@@ -40,6 +40,13 @@ def test_log_spectrum_trivial():
         dict(n_levels=5, a=0.5, sigma=1.0),
         dict(n_levels=5, a=0.5, sigma=0.9),
         dict(n_levels=5, a=0.5, sigma=2.0, omega=0.0),
+        dict(n_levels=math.inf, a=0.5, sigma=2.0),
+        dict(n_levels=math.nan, a=0.5, sigma=2.0),
+        dict(n_levels=5, a=math.nan, sigma=2.0),
+        dict(n_levels=5, a=0.5, sigma=math.inf),
+        dict(n_levels=5, a=0.5, sigma=math.nan),
+        dict(n_levels=5, a=0.5, sigma=2.0, omega=math.inf),
+        dict(n_levels=5, a=0.5, sigma=2.0, omega=math.nan),
     ],
 )
 def test_params_validation(kwargs):

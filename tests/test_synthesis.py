@@ -281,6 +281,25 @@ def test_synthesize_is_bit_identical_to_householder_route(p):
     np.testing.assert_array_equal(synthesize(p).offdiagonal, fixed.offdiagonal)
 
 
+def test_size_guard_names_largest_feasible_n(monkeypatch):
+    # 4 dense N x N float64 arrays: 1 MiB of memory holds N = 181, not 182
+    monkeypatch.setattr(synthesis, "_physical_memory", lambda: 2**20)
+    synthesize(SimulationParams(181, 0.5, 2.0))
+    with pytest.raises(ValidationError, match="largest feasible N is 181"):
+        synthesize(SimulationParams(182, 0.5, 2.0))
+
+
+def test_size_guard_runs_before_any_allocation(monkeypatch):
+    monkeypatch.setattr(synthesis, "_physical_memory", lambda: 2**20)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("spectrum built before the size check")
+
+    monkeypatch.setattr(synthesis, "log_spectrum", no_allocation)
+    with pytest.raises(ValidationError, match="N = 1000000 needs"):
+        synthesize(SimulationParams(10**6, 0.5, 2.0))
+
+
 def test_householder_two_by_two_noop():
     m = np.array([[1.0, 2.0], [2.0, -1.0]])
     tri, q, vs = householder_tridiagonalize(m)
