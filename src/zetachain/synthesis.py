@@ -109,15 +109,20 @@ def orthogonal_completion(amplitudes) -> np.ndarray:
 
     # accumulate copies its first element unchanged, hence the abs
     tail = np.hypot.accumulate(np.abs(c[::-1]))[::-1]
-    collapsed = tail[1:] < _GS_SKIP_TOL * tail[:-1]
+    # residual r_{k+1} / r_k < tol, divided through by tol: tol * r_k would
+    # underflow to 0 for a subnormal r_k and hide a tail that is exactly zero
+    collapsed = tail[1:] / _GS_SKIP_TOL < tail[:-1]
     skip = int(np.argmax(collapsed)) if collapsed.any() else n - 1
     order = np.r_[0:skip, skip + 1 : n, skip]
     cp = c[order]
     r = np.hypot.accumulate(np.abs(cp[::-1]))[::-1]
     q = np.empty((n, n))
     q[:, 0] = cp
-    # each factor stays <= 1 in magnitude, so tiny tails neither underflow nor overflow
-    q[:, 1:] = np.tril(-(cp[:, None] / r[1:]) * (cp[:-1] / r[:-1]), -1)
+    # below the diagonal both factors of -(C_i / r_{k+1}) (C_k / r_k) are <= 1 in
+    # magnitude, so tiny tails neither underflow nor overflow; above it, where
+    # tril discards the product, a tail below ~1e-308 can overflow it to inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        q[:, 1:] = np.tril(-(cp[:, None] / r[1:]) * (cp[:-1] / r[:-1]), -1)
     q[np.arange(n - 1), np.arange(1, n)] = r[1:] / r[:-1]
     basis = np.empty_like(q)
     basis[order] = q

@@ -118,6 +118,8 @@ COMPLETION_CASES = {
     "zero_tail": _unit([0.6, -0.8, 0.0, 0.0, 0.0]),
     "zero_inside_and_tail": _unit([0.3, 0.0, -0.5, 0.4, 0.0, 0.0]),
     "basis_vector_last": _unit([0.0, 0.0, 0.0, 1.0]),
+    # ratio 1e-9 stays above the skip tolerance until C_35 ~ 1e-315 (subnormal), then C_36.. = 0
+    "underflowing_tail": _unit([1e-9**k for k in range(40)]),
     # C_0 dominates, so r_1 / r_0 falls below the skip tolerance and e_0 is skipped
     "early_skip_a0.01_s12": riemann_amplitudes(SimulationParams(30, 0.01, 12.0)).amplitudes,
     "early_skip_a0.01_s20": riemann_amplitudes(SimulationParams(30, 0.01, 20.0)).amplitudes,
