@@ -18,6 +18,17 @@ def read_csv(path):
     return header, rows
 
 
+def one_json_line(capsys, code):
+    """Assert an empty stdout and exactly one JSON diagnostic line on stderr; return it."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.strip().split("\n")
+    assert len(err_lines) == 1
+    diag = json.loads(err_lines[0])
+    assert diag["exit_code"] == code
+    return diag
+
+
 def test_synth_golden_csv(tmp_path, capsys):
     out = tmp_path / "chain.csv"
     code = main(["synth", "--n", "5", "--a", "0.5", "--sigma", "2", "--out", str(out)])
@@ -193,13 +204,7 @@ REMOVED_FLAGS = [
 @pytest.mark.parametrize("argv", [["bogus"], [], ["synth", "--n", "x"]] + REMOVED_FLAGS)
 def test_usage_errors_exit_2_with_one_json_line(argv, capsys):
     assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err_lines = captured.err.strip().split("\n")
-    assert len(err_lines) == 1
-    diag = json.loads(err_lines[0])
-    assert diag["error"] == "ValidationError"
-    assert diag["exit_code"] == 2
+    assert one_json_line(capsys, 2)["error"] == "ValidationError"
 
 
 def test_help_still_exits_0(capsys):
@@ -207,16 +212,6 @@ def test_help_still_exits_0(capsys):
         main(["synth", "--help"])
     assert exc.value.code == 0
     assert "--tol-overlap" in capsys.readouterr().out
-
-
-def _one_json_line(capsys, code):
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err_lines = captured.err.strip().split("\n")
-    assert len(err_lines) == 1
-    diag = json.loads(err_lines[0])
-    assert diag["exit_code"] == code
-    return diag
 
 
 @pytest.mark.parametrize(
@@ -233,12 +228,12 @@ def _one_json_line(capsys, code):
 )
 def test_non_finite_input_exits_2_with_one_json_line(argv, capsys):
     assert main(argv) == 2
-    assert _one_json_line(capsys, 2)["error"] == "ValidationError"
+    assert one_json_line(capsys, 2)["error"] == "ValidationError"
 
 
 def test_oracle_term_limit_exits_4(capsys):
     assert main(["simulate", "--omega", "1e300", "--points", "3"]) == 4
-    assert _one_json_line(capsys, 4)["error"] == "OutOfDomain"
+    assert one_json_line(capsys, 4)["error"] == "OutOfDomain"
 
 
 @pytest.mark.parametrize("command", ["synth", "verify", "simulate", "design"])
@@ -246,6 +241,6 @@ def test_oversized_chain_exits_2_naming_largest_n(command, monkeypatch, capsys):
     # a small memory figure, so the check fires without allocating anything
     monkeypatch.setattr(synthesis, "_physical_memory", lambda: 2**20)
     assert main([command, "--n", "1000000"]) == 2
-    diag = _one_json_line(capsys, 2)
+    diag = one_json_line(capsys, 2)
     assert diag["error"] == "ValidationError"
     assert "largest feasible N is 181" in diag["message"]
