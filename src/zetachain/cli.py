@@ -25,10 +25,10 @@ from .design import (
     waveguide_layout,
 )
 from .errors import InfeasibleDesign, NumericalBreakdown, OutOfDomain, ValidationError, ZetachainError
-from .evolution import DEFAULT_STEP, TimeGrid, evolve_ode, evolve_spectral
-from .synthesis import synthesize
-from .verification import verify_synthesis
-from .zetaref import accessible_domain, hurwitz_zeta
+from .evolution import DEFAULT_STEP, TimeGrid, evolve_ode, evolve_spectral, zeta_estimate
+from .synthesis import SymmetricTridiagonal, synthesize
+from .verification import DEFAULT_TOL_OVERLAP, verify_synthesis
+from .zetaref import DEFAULT_N_CAP, accessible_domain, hurwitz_zeta
 
 # exception family -> exit code; 1 is reserved for a failed `verify`
 _EXIT_CODES = (
@@ -54,8 +54,8 @@ def _write_text(path, text: str):
             fh.write(text)
 
 
-def _params_from(args) -> SimulationParams:
-    return SimulationParams(n_levels=args.n, a=args.a, sigma=args.sigma, omega=args.omega)
+def _params_from(args, **extra) -> SimulationParams:
+    return SimulationParams(n_levels=args.n, a=args.a, sigma=args.sigma, **extra)
 
 
 def _csv(header, rows) -> str:
@@ -117,17 +117,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params = _params_from(args)
+    params = _params_from(args, omega=args.omega)
     grid = TimeGrid(t_start=args.t_start, t_end=args.t_end, n_points=args.points, t_coh=args.t_coh)
     tri = synthesize(params)
+    # omega * H, so the sample times are physical and a(t) = T(sigma + i omega t) / T(sigma)
+    h = SymmetricTridiagonal(params.omega * tri.diagonal, params.omega * tri.offdiagonal)
     if args.method == "ode":
-        _, series = evolve_ode(tri, grid, args.step)
+        _, series = evolve_ode(h, grid, args.step)
     else:
-        series = evolve_spectral(tri, grid)
+        series = evolve_spectral(h, grid)
     z_sigma = hurwitz_zeta(params.sigma, params.a)
     rows = []
-    for t, amp in zip(series.times, series.amplitudes):
-        ref = hurwitz_zeta(params.sigma + 1j * params.omega * t, params.a) / z_sigma
+    for t, (s, amp) in zip(series.times, zeta_estimate(series, params)):
+        ref = hurwitz_zeta(s, params.a) / z_sigma
         values = (t, amp.real, amp.imag, abs(amp), ref.real, ref.imag, abs(amp - ref))
         rows.append([_fmt(v) for v in values])
     if args.format == "json":
@@ -139,13 +141,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_domain(args) -> int:
-    if args.sigmas:
-        try:
-            grid = [float(tok) for tok in args.sigmas.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ValidationError(f"bad --sigmas value: {exc}")
-    else:
-        grid = [args.sigma]
+    try:
+        grid = [float(tok) for tok in args.sigmas.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"bad --sigmas value: {exc}")
+    if not grid:
+        raise ValidationError(f"--sigmas {args.sigmas!r} names no sigma")
     points = accessible_domain(grid, t_coh=args.t_coh, n_cap=args.n_cap)
     # t_max is finite or +inf, which _fmt writes as "inf"
     rows = ((_fmt(p.sigma), _fmt(p.n_min), str(int(p.feasible)), _fmt(p.t_max)) for p in points)
@@ -194,13 +195,12 @@ def _add_chain(parser):
     parser.add_argument("--n", type=int, default=5, help="number of levels / chain sites")
     parser.add_argument("--a", type=float, default=1.0, help="series shift, 0 < a <= 1")
     parser.add_argument("--sigma", type=float, default=2.0, help="real part of s (> 1)")
-    parser.add_argument("--omega", type=float, default=1.0, help="angular frequency scale")
     _add_out(parser)
 
 
 def _add_tolerances(parser):
     parser.add_argument("--tol-lambda", type=float, default=None, dest="tol_lambda")
-    parser.add_argument("--tol-overlap", type=float, default=1e-9, dest="tol_overlap")
+    parser.add_argument("--tol-overlap", type=float, default=DEFAULT_TOL_OVERLAP, dest="tol_overlap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,6 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="evolve |0> and compare against the zeta oracle")
     _add_chain(p)
     _add_format(p)
+    p.add_argument("--omega", type=float, default=1.0,
+                   help="evolve omega * H, so time t samples s = sigma + i omega t")
     p.add_argument("--t-start", type=float, default=0.0, dest="t_start")
     p.add_argument("--t-end", type=float, default=50.0, dest="t_end")
     p.add_argument("--points", type=int, default=2001)
@@ -236,11 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("domain", help="tabulate N_min(sigma) and the time window")
-    p.add_argument("--sigma", type=float, default=2.0, help="single sigma when --sigmas is absent")
     _add_out(p)
-    p.add_argument("--sigmas", default=None, help="comma-separated sigma grid (overrides --sigma)")
+    p.add_argument("--sigmas", default="2", help="comma-separated sigma grid")
     p.add_argument("--t-coh", type=float, default=None, dest="t_coh")
-    p.add_argument("--n-cap", type=int, default=10**6, dest="n_cap")
+    p.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP, dest="n_cap")
     p.set_defaults(func=cmd_domain)
 
     p = sub.add_parser("design", help="export spin-chain CSV or waveguide JSON")

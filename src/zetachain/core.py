@@ -2,8 +2,8 @@
 
 Everything downstream (synthesis, evolution, hardware export) is a pure
 function of the quadruple (n_levels, a, sigma, omega) defined here.
-Internally hbar = omega = 1; omega only enters when labeling the complex
-coordinate s = sigma + i*omega*t of the output.
+Chain entries are in units of hbar*omega with hbar = 1; the evolution
+runs under omega*H, so time t samples s = sigma + i*omega*t.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class SimulationParams:
     n_levels : chain length N (>= 1)
     a        : shift of the zeta series, 0 < a <= 1
     sigma    : real part of s; must exceed 1 for the series to converge
-    omega    : angular frequency scale, used only for axis labeling
+    omega    : angular frequency scale; evolving omega*H maps time t to s = sigma + i*omega*t
     """
 
     n_levels: int

@@ -102,6 +102,50 @@ def spin_chain_params(tri: SymmetricTridiagonal) -> SpinChainParams:
     )
 
 
+def _geometry(tri: SymmetricTridiagonal, fab: FabricationConstants):
+    """Bond geometry and the first constraint it breaks: the one feasibility rule.
+
+    Returns (d, cos_theta, r_limits, r_paraxial, violation): spacings from
+    the coupling law, tilt cosines, per-bond radius limits (|cos theta_n|
+    is linear in R, so bond n is realizable for R <= r_limits[n]), the
+    paraxial bound (R must exceed r_paraxial = 100 max d) and the error
+    waveguide_layout raises, None when the design is feasible.  With a
+    coupling outside (0, kappa) there is no geometry and the arrays are NaN.
+    """
+    j = tri.offdiagonal
+    nan = np.full(j.shape, np.nan)
+    if j.size and j.max() >= fab.kappa:
+        k = int(np.argmax(j))
+        violation = CouplingTooStrong(
+            f"J_{k} = {j[k]:.6g} >= kappa = {fab.kappa:.6g}; "
+            f"kappa must exceed {j.max():.17g}"
+        )
+        return nan, nan, nan, np.nan, violation
+    if j.size and j.min() <= 0.0:
+        return nan, nan, nan, np.nan, ValidationError("all couplings must be strictly positive")
+
+    db = np.diff(tri.diagonal)
+    d = np.log(fab.kappa / j) / fab.alpha
+    cos_theta = db * fab.bend_radius * fab.lambda_bar / (fab.n_substrate * d)
+    with np.errstate(divide="ignore"):
+        r_limits = fab.n_substrate * d / (fab.lambda_bar * np.abs(db))
+    r_paraxial = 100.0 * d.max(initial=0.0)
+    bad = np.flatnonzero(np.abs(cos_theta) > 1.0)
+    violation = None
+    if fab.bend_radius <= r_paraxial:
+        violation = ValidationError(
+            f"bend radius {fab.bend_radius:.6g} too small for the paraxial picture; "
+            f"need R > {r_paraxial:.6g}"
+        )
+    elif bad.size:
+        k = int(bad[0])
+        violation = TiltInfeasible(
+            f"|cos theta_{k}| = {abs(cos_theta[k]):.6g} > 1; "
+            f"reduce bend radius to at most {r_limits[k]:.17g}"
+        )
+    return d, cos_theta, r_limits, r_paraxial, violation
+
+
 def waveguide_layout(tri: SymmetricTridiagonal, fab: FabricationConstants) -> WaveguideDesign:
     """Solve the waveguide geometry realizing the given chain.
 
@@ -109,33 +153,9 @@ def waveguide_layout(tri: SymmetricTridiagonal, fab: FabricationConstants) -> Wa
     bend-induced detuning differences on the prescribed field gradient.
     Only energy differences are realized; the global offset is gauge.
     """
-    j = tri.offdiagonal
-    b = tri.diagonal
-    if j.size and j.max() >= fab.kappa:
-        k = int(np.argmax(j))
-        raise CouplingTooStrong(
-            f"J_{k} = {j[k]:.6g} >= kappa = {fab.kappa:.6g}; "
-            f"kappa must exceed {j.max():.17g}"
-        )
-    if j.size and j.min() <= 0.0:
-        raise ValidationError("all couplings must be strictly positive")
-
-    d = np.log(fab.kappa / j) / fab.alpha
-    if d.size and fab.bend_radius <= 100.0 * d.max():
-        raise ValidationError(
-            f"bend radius {fab.bend_radius:.6g} too small for the paraxial picture; "
-            f"need R > {100.0 * d.max():.6g}"
-        )
-    db = np.diff(b)
-    cos_theta = db * fab.bend_radius * fab.lambda_bar / (fab.n_substrate * d)
-    bad = np.flatnonzero(np.abs(cos_theta) > 1.0)
-    if bad.size:
-        k = int(bad[0])
-        r_fix = fab.n_substrate * d[k] / (fab.lambda_bar * abs(db[k]))
-        raise TiltInfeasible(
-            f"|cos theta_{k}| = {abs(cos_theta[k]):.6g} > 1; "
-            f"reduce bend radius to at most {r_fix:.17g}"
-        )
+    d, cos_theta, _, _, violation = _geometry(tri, fab)
+    if violation is not None:
+        raise violation
     theta = np.arccos(cos_theta)
     n = tri.order
     x = np.zeros(n)
@@ -147,32 +167,21 @@ def waveguide_layout(tri: SymmetricTridiagonal, fab: FabricationConstants) -> Wa
 
 
 def feasibility_report(tri: SymmetricTridiagonal, fab: FabricationConstants) -> dict:
-    """Per-bond constraint margins and an overall feasibility verdict.
+    """Per-bond constraint margins and the verdict of waveguide_layout.
 
     coupling margins are kappa - J_n (> 0 required); tilt margins are
-    1 - |cos theta_n| where defined.  suggested_r_max is the largest bend
-    radius keeping every tilt realizable (|cos theta| is linear in R).
+    1 - |cos theta_n| (>= 0 required, NaN without a geometry).
+    min_bend_radius is the paraxial bound R must exceed; suggested_r_max
+    is the largest bend radius keeping every tilt realizable.  feasible
+    is True exactly when waveguide_layout returns a design.
     """
-    j = tri.offdiagonal
-    db = np.diff(tri.diagonal)
-    coupling_margins = fab.kappa - j
-    feasible = bool(np.all(coupling_margins > 0.0)) and bool(np.all(j > 0.0))
-    if feasible and j.size:
-        d = np.log(fab.kappa / j) / fab.alpha
-        cos_theta = db * fab.bend_radius * fab.lambda_bar / (fab.n_substrate * d)
-        tilt_margins = 1.0 - np.abs(cos_theta)
-        with np.errstate(divide="ignore"):
-            r_limits = fab.n_substrate * d / (fab.lambda_bar * np.abs(db))
-        suggested_r_max = float(r_limits.min()) if r_limits.size else float("inf")
-        feasible = bool(np.all(tilt_margins > 0.0))
-    else:
-        tilt_margins = np.full(j.shape, np.nan)
-        suggested_r_max = float("nan")
+    _, cos_theta, r_limits, r_paraxial, violation = _geometry(tri, fab)
     return {
-        "coupling_margins": coupling_margins,
-        "tilt_margins": tilt_margins,
-        "feasible": feasible,
-        "suggested_r_max": suggested_r_max,
+        "coupling_margins": fab.kappa - tri.offdiagonal,
+        "tilt_margins": 1.0 - np.abs(cos_theta),
+        "feasible": violation is None,
+        "min_bend_radius": float(r_paraxial),
+        "suggested_r_max": float(r_limits.min(initial=np.inf)),
     }
 
 

@@ -2,8 +2,9 @@
 
 Two independent routes: spectral resolution (exact up to eigensolver
 accuracy) and fixed-step 4th-order integration of the Schrodinger
-equation.  The autocorrelation of a synthesized chain equals the
-normalized truncated Dirichlet sum along s = sigma + i*omega*t.
+equation.  Evolving omega*H from a synthesized chain H (entries in
+units of hbar*omega, hbar = 1) makes the autocorrelation at time t the
+normalized truncated Dirichlet sum at s = sigma + i*omega*t.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ DEFAULT_STEP = 1e-3
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling of [t_start, t_end] in units 1/omega.
+    """Uniform sampling of [t_start, t_end].
 
     Samples beyond the coherence cutoff t_coh (when given) are excluded;
     retained samples are never altered.
@@ -152,7 +153,9 @@ def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_
 def zeta_estimate(series: AutocorrelationSeries, params: SimulationParams, normalized: bool = True):
     """Map the autocorrelation onto zeta estimates along s = sigma + i*omega*t.
 
-    Normalized mode returns a(t) itself (the truncated sum divided by its
+    The series must come from evolving omega*H, the synthesized chain
+    scaled by params.omega, so that a(t) is T(sigma + i*omega*t) / T(sigma)
+    for the truncated sum T.  Normalized mode returns a(t) itself (the truncated sum divided by its
     t = 0 value); unnormalized mode rescales by the truncated sum at
     sigma, yielding the truncated Dirichlet value of zeta(s, a).
     """

@@ -17,6 +17,9 @@ from .synthesis import SymmetricTridiagonal
 
 __all__ = ["EigenDecomposition", "SynthesisReport", "eigh_tridiagonal", "verify_synthesis"]
 
+# absolute tolerance on |<0|v_n>| - C_n used when none is given
+DEFAULT_TOL_OVERLAP = 1e-9
+
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -73,7 +76,7 @@ def verify_synthesis(
     tri: SymmetricTridiagonal,
     params: SimulationParams,
     tol_lambda: float = None,
-    tol_overlap: float = 1e-9,
+    tol_overlap: float = DEFAULT_TOL_OVERLAP,
 ) -> SynthesisReport:
     """Report spectral and overlap fidelity of a synthesized Hamiltonian.
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from zetachain import hurwitz_zeta, synthesis, tail_bound
+from zetachain import dirichlet_truncated, hurwitz_zeta, synthesis, tail_bound
 from zetachain.cli import main
 
 GOLDEN_DIAG = [-0.479, 0.701, 0.894, 1.062, 1.208]
@@ -109,6 +109,19 @@ def test_simulate_deviation_bounded_by_tail(tmp_path):
     assert all(float(r[6]) <= bound for r in rows)
 
 
+@pytest.mark.parametrize("omega", ["0.7", "2.5"])
+@pytest.mark.parametrize("method,t_end", [("spectral", "50"), ("ode", "10")])
+def test_simulate_omega_deviation_bounded_by_tail(omega, method, t_end, tmp_path):
+    # simulate evolves omega * H, so a(t) and the reference share s = sigma + i omega t
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--n", "64", "--a", "1", "--sigma", "3", "--omega", omega,
+                 "--method", method, "--t-end", t_end, "--points", "201", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert float(rows[-1][0]) == float(t_end)
+    bound = 2.0 * tail_bound(3.0, 1.0, 64) / dirichlet_truncated(3.0, 1.0, 64).real + 1e-12
+    assert max(float(r[6]) for r in rows) <= bound
+
+
 def test_simulate_methods_agree(tmp_path):
     spec = tmp_path / "spec.csv"
     ode = tmp_path / "ode.csv"
@@ -198,10 +211,14 @@ REMOVED_FLAGS = [
     ["design", "--format", "json"],
     ["design", "--tol-lambda", "1e-9"],
     ["design", "--tol-overlap", "1e-9"],
+    ["synth", "--omega", "1"],
+    ["verify", "--omega", "1"],
+    ["design", "--omega", "1"],
+    ["domain", "--sigma", "2"],
 ]
 
 
-@pytest.mark.parametrize("argv", [["bogus"], [], ["synth", "--n", "x"]] + REMOVED_FLAGS)
+@pytest.mark.parametrize("argv", [["bogus"], [], ["synth", "--n", "x"]] + REMOVED_FLAGS + [["domain", "--sigmas", ","]])
 def test_usage_errors_exit_2_with_one_json_line(argv, capsys):
     assert main(argv) == 2
     assert one_json_line(capsys, 2)["error"] == "ValidationError"

@@ -56,6 +56,7 @@ CASES = (
     ("simulate_omega_inf_exit2", ("simulate", "--omega", "inf"), False),
     ("domain_default", ("domain",), False),
     ("domain_sigma", ("domain", "--sigma", "1.3", "--t-coh", "4"), False),
+    ("domain_sigmas_t_coh", ("domain", "--sigmas", "1.3", "--t-coh", "4"), False),
     ("domain_grid_out", ("domain", "--sigmas", "1.5,1.3,1.2,2", "--t-coh", "10"), True),
     ("domain_n_cap", ("domain", "--sigmas", "1.2,1.5", "--n-cap", "100"), False),
     ("domain_bad_sigmas_exit2", ("domain", "--sigmas", "1.5,x"), False),

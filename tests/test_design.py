@@ -136,6 +136,26 @@ def test_feasibility_tilt_margin_monotone_in_radius():
     assert all(m1 > m2 for m1, m2 in zip(margins, margins[1:]))
 
 
+@pytest.mark.parametrize("kappa", [0.4, 0.52, 2.0, 5.0])
+@pytest.mark.parametrize("radius", [1.0, 100.0, 240.0, 300.0, 1000.0, 1e6])
+def test_feasibility_verdict_matches_layout(kappa, radius):
+    # R = 1 breaks the paraxial bound, R = 1e6 the tilt, kappa = 0.4 the coupling
+    fab = FabricationConstants(kappa, 1.0, radius, 1e-3, 1.5)
+    try:
+        waveguide_layout(GOLDEN_TRI, fab)
+        laid_out = True
+    except (CouplingTooStrong, TiltInfeasible, ValidationError):
+        laid_out = False
+    assert feasibility_report(GOLDEN_TRI, fab)["feasible"] is laid_out
+
+
+def test_feasibility_report_names_paraxial_bound():
+    report = feasibility_report(GOLDEN_TRI, FabricationConstants(2.0, 1.0, 1.0, 1e-3, 1.5))
+    assert not report["feasible"]
+    assert np.all(report["tilt_margins"] > 0.0)
+    assert report["min_bend_radius"] == pytest.approx(100.0 * math.log(2.0 / 0.198))
+
+
 def test_json_export_round_trips_at_full_precision():
     p = SimulationParams(5, 0.5, 2.0)
     tri = synthesize(p)
