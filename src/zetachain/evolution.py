@@ -37,7 +37,8 @@ class TimeGrid:
     """Uniform sampling of [t_start, t_end].
 
     Samples beyond the coherence cutoff t_coh (when given) are excluded;
-    retained samples are never altered.
+    retained samples are never altered.  A cutoff before t_start would
+    leave no sample and is rejected.
     """
 
     t_start: float
@@ -54,6 +55,8 @@ class TimeGrid:
             raise ValidationError(f"n_points must be >= 2, got {self.n_points}")
         if self.t_coh is not None and not self.t_coh > 0.0:
             raise ValidationError(f"t_coh must be positive, got {self.t_coh}")
+        if self.t_coh is not None and self.t_coh < self.t_start:
+            raise ValidationError(f"t_coh = {self.t_coh} precedes t_start = {self.t_start}: the window is empty")
 
     def times(self) -> np.ndarray:
         t = np.linspace(self.t_start, self.t_end, self.n_points)

@@ -48,6 +48,7 @@ CASES = (
     ("simulate_ode_csv", ("simulate", "--method", "ode", "--step", "0.01", "--t-end", "1", "--points", "11") + BASE, True),
     ("simulate_ode_json", ("simulate", "--method", "ode", "--format", "json", "--t-end", "0.5", "--points", "6"), False),
     ("simulate_t_coh", ("simulate", "--t-coh", "2", "--t-start", "-1") + BASE + GRID, True),
+    ("simulate_empty_window_exit2", ("simulate", "--t-start", "5", "--t-coh", "1", "--points", "5"), False),
     ("simulate_n1", ("simulate", "--n", "1", "--t-end", "2", "--points", "5"), False),
     ("simulate_guard_band_exit4", ("simulate", "--sigma", "1.0000001", "--points", "3"), True),
     ("simulate_ode_step_exit3", ("simulate", "--method", "ode", "--step", "2", "--t-end", "10", "--points", "3"), True),

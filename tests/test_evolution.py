@@ -120,6 +120,13 @@ def test_ode_step_too_large():
         evolve_ode(tri, TimeGrid(0.0, 30.0, 31), 1.0)
 
 
+def test_time_grid_rejects_cutoff_before_start():
+    with pytest.raises(ValidationError, match="empty"):
+        TimeGrid(5.0, 50.0, 5, t_coh=1.0)
+    # a cutoff at the start keeps exactly the first sample
+    assert TimeGrid(1.0, 5.0, 5, t_coh=1.0).times().tolist() == [1.0]
+
+
 def test_ode_rejects_bad_step():
     with pytest.raises(ValidationError):
         evolve_ode(synthesize(GOLDEN_PARAMS), TimeGrid(0.0, 1.0, 3), 0.0)
