@@ -253,6 +253,13 @@ def test_oracle_term_limit_exits_4(capsys):
     assert one_json_line(capsys, 4)["error"] == "OutOfDomain"
 
 
+def test_disconnected_chain_exits_3(capsys):
+    assert main(["synth", "--n", "30", "--a", "0.1", "--sigma", "60"]) == 3
+    diag = one_json_line(capsys, 3)
+    assert diag["error"] == "DisconnectedChain"
+    assert "J_0 = 1.374e-31" in diag["message"]
+
+
 @pytest.mark.parametrize("command", ["synth", "verify", "simulate", "design"])
 def test_oversized_chain_exits_2_naming_largest_n(command, monkeypatch, capsys):
     # a small memory figure, so the check fires without allocating anything

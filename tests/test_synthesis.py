@@ -5,8 +5,10 @@ import pytest
 
 from zetachain import synthesis
 from zetachain import (
+    Breakdown,
     DegenerateInput,
     DimensionMismatch,
+    DisconnectedChain,
     SimulationParams,
     SymmetricTridiagonal,
     ValidationError,
@@ -429,3 +431,18 @@ def test_lanczos_input_validation():
         lanczos_synthesis(np.array([1.0, 2.0]), np.array([1.0, -0.1]))
     with pytest.raises(DimensionMismatch):
         lanczos_synthesis(np.array([1.0, 2.0]), np.array([1.0]))
+
+
+# sigma = 60 at a = 0.1 puts all but ~1e-62 of the weight on site 0,
+# so the first hopping is 1.374e-31, below the 1e-12 floor of both routes
+BREAKDOWN_PARAMS = SimulationParams(30, 0.1, 60.0)
+
+
+def test_synthesize_reports_disconnected_chain():
+    with pytest.raises(DisconnectedChain, match=r"J_0 = 1\.374e-31"):
+        synthesize(BREAKDOWN_PARAMS)
+
+
+def test_lanczos_breaks_down_at_step_0():
+    with pytest.raises(Breakdown, match="at step 0"):
+        lanczos_synthesis(log_spectrum(BREAKDOWN_PARAMS), riemann_amplitudes(BREAKDOWN_PARAMS))
