@@ -80,8 +80,7 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
         raise OutOfDomain(f"|s| = {abs(s):.3e} needs {m:.3e} Euler-Maclaurin terms (limit {_EM_MAX_TERMS:.0e})")
     m = max(int(m), 16)
 
-    n = np.arange(m, dtype=float)
-    head = complex(np.sum((n + a) ** (-s)))
+    head = dirichlet_truncated(s, a, m)
     x = m + a
     tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
     factor = s * x ** (-s - 1.0)
