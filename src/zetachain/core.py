@@ -98,9 +98,11 @@ def riemann_amplitudes(params: SimulationParams) -> AmplitudeVector:
 
     The squared amplitudes are the Dirichlet weights of the truncated
     series at t = 0; the normalization constant is the inverse square
-    root of their unnormalized sum.
+    root of their unnormalized sum.  The weights are formed as
+    (a/(n+a))**sigma, which peak at 1, so they stay finite for any sigma.
     """
     n = np.arange(params.n_levels, dtype=float)
-    weights = (n + params.a) ** (-params.sigma)
-    norm_constant = 1.0 / np.sqrt(weights.sum())
-    return AmplitudeVector(norm_constant * np.sqrt(weights), float(norm_constant))
+    weights = (params.a / (n + params.a)) ** params.sigma
+    total = weights.sum()
+    norm_constant = params.a ** (params.sigma / 2.0) / np.sqrt(total)
+    return AmplitudeVector(np.sqrt(weights / total), float(norm_constant))

@@ -253,6 +253,14 @@ def test_oracle_term_limit_exits_4(capsys):
     assert one_json_line(capsys, 4)["error"] == "OutOfDomain"
 
 
+@pytest.mark.parametrize("command", ["synth", "verify"])
+def test_extreme_sigma_weights_stay_finite(command, capsys):
+    # (n + a)**(-sigma) would overflow here (sigma * log10(1/a) = 400 > 308)
+    assert main([command, "--n", "30", "--a", "0.01", "--sigma", "200"]) == 3
+    assert one_json_line(capsys, 3)["error"] == "DisconnectedChain"
+    assert main([command, "--n", "1", "--a", "0.01", "--sigma", "200"]) == 0
+
+
 def test_disconnected_chain_exits_3(capsys):
     assert main(["synth", "--n", "30", "--a", "0.1", "--sigma", "60"]) == 3
     diag = one_json_line(capsys, 3)

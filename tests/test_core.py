@@ -88,6 +88,14 @@ def test_amplitude_invariants(n, a, sigma):
     np.testing.assert_allclose(c * c, amps.norm_constant**2 * weights, rtol=1e-13)
 
 
+def test_amplitudes_finite_where_unscaled_weights_overflow():
+    amps = riemann_amplitudes(SimulationParams(30, 0.01, 200.0))
+    assert amps.amplitudes[0] == 1.0
+    assert np.all(np.isfinite(amps.amplitudes))
+    # 1 / sqrt(sum (n + a)**(-sigma)) = a**(sigma/2) to within (a / (1 + a))**sigma
+    assert amps.norm_constant == pytest.approx(1e-200, rel=1e-15)
+
+
 @pytest.mark.parametrize("n", [2, 17, 200])
 def test_spectrum_strictly_increasing(n):
     rng = np.random.default_rng(7)
