@@ -105,25 +105,20 @@ def spin_chain_params(tri: SymmetricTridiagonal) -> SpinChainParams:
 def _geometry(tri: SymmetricTridiagonal, fab: FabricationConstants):
     """Bond geometry and the first constraint it breaks: the one feasibility rule.
 
-    Returns (d, cos_theta, r_limits, r_paraxial, violation): spacings from
-    the coupling law, tilt cosines, per-bond radius limits (|cos theta_n|
-    is linear in R, so bond n is realizable for R <= r_limits[n]), the
-    paraxial bound (R must exceed r_paraxial = 100 max d) and the error
-    waveguide_layout raises, None when the design is feasible.  With a
-    coupling outside (0, kappa) there is no geometry and the arrays are NaN.
+    Returns (d, cos_theta, r_limits, r_paraxial, violation): spacings, tilt
+    cosines, per-bond radius limits (|cos theta_n| is linear in R, so bond n
+    is realizable for R <= r_limits[n]), the paraxial bound 100 max d that R
+    must exceed, and the error waveguide_layout raises, None when feasible.
+    Couplings outside (0, kappa) leave no geometry; the arrays are then NaN.
     """
     j = tri.offdiagonal
-    nan = np.full(j.shape, np.nan)
-    if j.size and j.max() >= fab.kappa:
+    if j.size and not 0.0 < j.min() <= j.max() < fab.kappa:
         k = int(np.argmax(j))
-        violation = CouplingTooStrong(
-            f"J_{k} = {j[k]:.6g} >= kappa = {fab.kappa:.6g}; "
-            f"kappa must exceed {j.max():.17g}"
-        )
+        violation = ValidationError("all couplings must be strictly positive")
+        if j[k] >= fab.kappa:
+            violation = CouplingTooStrong(f"J_{k} = {j[k]:.6g} >= kappa = {fab.kappa:.6g}; kappa must exceed {j[k]:.17g}")
+        nan = np.full(j.shape, np.nan)
         return nan, nan, nan, np.nan, violation
-    if j.size and j.min() <= 0.0:
-        return nan, nan, nan, np.nan, ValidationError("all couplings must be strictly positive")
-
     db = np.diff(tri.diagonal)
     d = np.log(fab.kappa / j) / fab.alpha
     cos_theta = db * fab.bend_radius * fab.lambda_bar / (fab.n_substrate * d)
@@ -134,14 +129,12 @@ def _geometry(tri: SymmetricTridiagonal, fab: FabricationConstants):
     violation = None
     if fab.bend_radius <= r_paraxial:
         violation = ValidationError(
-            f"bend radius {fab.bend_radius:.6g} too small for the paraxial picture; "
-            f"need R > {r_paraxial:.6g}"
+            f"bend radius {fab.bend_radius:.6g} too small for the paraxial picture; need R > {r_paraxial:.6g}"
         )
     elif bad.size:
         k = int(bad[0])
         violation = TiltInfeasible(
-            f"|cos theta_{k}| = {abs(cos_theta[k]):.6g} > 1; "
-            f"reduce bend radius to at most {r_limits[k]:.17g}"
+            f"|cos theta_{k}| = {abs(cos_theta[k]):.6g} > 1; reduce bend radius to at most {r_limits[k]:.17g}"
         )
     return d, cos_theta, r_limits, r_paraxial, violation
 
@@ -221,9 +214,9 @@ def waveguide_design_json(design: WaveguideDesign) -> str:
                 "index": i,
                 "d": _fmt(design.spacings[i]),
                 "theta": _fmt(design.angles[i]),
-                "J": _fmt(design.couplings()[i]),
+                "J": _fmt(j),
             }
-            for i in range(design.spacings.size)
+            for i, j in enumerate(design.couplings())
         ],
     }
     return _json_text(doc)

@@ -53,10 +53,8 @@ class TimeGrid:
             raise ValidationError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
         if self.n_points < 2:
             raise ValidationError(f"n_points must be >= 2, got {self.n_points}")
-        if self.t_coh is not None and not self.t_coh > 0.0:
-            raise ValidationError(f"t_coh must be positive, got {self.t_coh}")
-        if self.t_coh is not None and self.t_coh < self.t_start:
-            raise ValidationError(f"t_coh = {self.t_coh} precedes t_start = {self.t_start}: the window is empty")
+        if self.t_coh is not None and not (self.t_coh > 0.0 and self.t_coh >= self.t_start):
+            raise ValidationError(f"t_coh must be positive and not before t_start = {self.t_start}, got {self.t_coh}")
 
     def times(self) -> np.ndarray:
         t = np.linspace(self.t_start, self.t_end, self.n_points)
@@ -157,10 +155,10 @@ def zeta_estimate(series: AutocorrelationSeries, params: SimulationParams, norma
     """Map the autocorrelation onto zeta estimates along s = sigma + i*omega*t.
 
     The series must come from evolving omega*H, the synthesized chain
-    scaled by params.omega, so that a(t) is T(sigma + i*omega*t) / T(sigma)
-    for the truncated sum T.  Normalized mode returns a(t) itself (the truncated sum divided by its
-    t = 0 value); unnormalized mode rescales by the truncated sum at
-    sigma, yielding the truncated Dirichlet value of zeta(s, a).
+    scaled by params.omega.  Normalized mode returns a(t) itself (the
+    truncated sum at s divided by its t = 0 value); unnormalized mode
+    rescales by the truncated sum at sigma, yielding the truncated
+    Dirichlet value of zeta(s, a).
     """
     s_values = params.sigma + 1j * params.omega * series.times
     if normalized:

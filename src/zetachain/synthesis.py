@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .core import (
-    AmplitudeVector,
-    SimulationParams,
-    Spectrum,
-    log_spectrum,
-    riemann_amplitudes,
-)
+from .core import SimulationParams, log_spectrum, riemann_amplitudes
 from .errors import Breakdown, DegenerateInput, DimensionMismatch, DisconnectedChain, ValidationError
 
 __all__ = [
@@ -78,16 +72,9 @@ class SymmetricTridiagonal:
         return h
 
 
-def _unwrap_amplitudes(c) -> np.ndarray:
-    if isinstance(c, AmplitudeVector):
-        return np.asarray(c.amplitudes, dtype=float)
-    return np.asarray(c, dtype=float)
-
-
-def _unwrap_energies(e) -> np.ndarray:
-    if isinstance(e, Spectrum):
-        return np.asarray(e.energies, dtype=float)
-    return np.asarray(e, dtype=float)
+def _unwrap(x, name: str) -> np.ndarray:
+    """The `name` array of a Spectrum or AmplitudeVector, or x itself, as floats."""
+    return np.asarray(getattr(x, name, x), dtype=float)
 
 
 def orthogonal_completion(amplitudes) -> np.ndarray:
@@ -102,7 +89,7 @@ def orthogonal_completion(amplitudes) -> np.ndarray:
     The skipped index keeps its weight in every later tail, which is the
     same formula with that index moved to the end.
     """
-    c = _unwrap_amplitudes(amplitudes)
+    c = _unwrap(amplitudes, "amplitudes")
     n = c.size
     if abs(np.linalg.norm(c) - 1.0) > 1e-10:
         raise DegenerateInput(f"amplitude vector must be unit norm, |C| = {np.linalg.norm(c)}")
@@ -131,7 +118,7 @@ def orthogonal_completion(amplitudes) -> np.ndarray:
 
 def similarity_transform(spectrum, basis: np.ndarray) -> np.ndarray:
     """Conjugate the diagonal seed into the new basis: T^T diag(E) T."""
-    e = _unwrap_energies(spectrum)
+    e = _unwrap(spectrum, "energies")
     t = np.asarray(basis, dtype=float)
     if t.shape != (e.size, e.size):
         raise DimensionMismatch(f"basis shape {t.shape} incompatible with {e.size} energies")
@@ -240,8 +227,8 @@ def lanczos_synthesis(energies, amplitudes) -> SymmetricTridiagonal:
     for synthesize(): by uniqueness of the Jacobi matrix the two agree
     entrywise.
     """
-    e = _unwrap_energies(energies)
-    c = _unwrap_amplitudes(amplitudes)
+    e = _unwrap(energies, "energies")
+    c = _unwrap(amplitudes, "amplitudes")
     n = e.size
     if c.size != n:
         raise DimensionMismatch(f"{c.size} amplitudes for {n} nodes")

@@ -121,7 +121,7 @@ def test_ode_step_too_large():
 
 
 def test_time_grid_rejects_cutoff_before_start():
-    with pytest.raises(ValidationError, match="empty"):
+    with pytest.raises(ValidationError, match="not before t_start"):
         TimeGrid(5.0, 50.0, 5, t_coh=1.0)
     # a cutoff at the start keeps exactly the first sample
     assert TimeGrid(1.0, 5.0, 5, t_coh=1.0).times().tolist() == [1.0]
