@@ -120,8 +120,9 @@ def cmd_simulate(args) -> int:
     params = _params_from(args, omega=args.omega)
     grid = TimeGrid(t_start=args.t_start, t_end=args.t_end, n_points=args.points, t_coh=args.t_coh)
     tri = synthesize(params)
-    # omega * H, so the sample times are physical and a(t) = T(sigma + i omega t) / T(sigma)
-    h = SymmetricTridiagonal(params.omega * tri.diagonal, params.omega * tri.offdiagonal)
+    # omega * H: t is physical, a(t) = T(sigma + i omega t) / T(sigma); an overflow is refused
+    with np.errstate(over="ignore"):
+        h = SymmetricTridiagonal(params.omega * tri.diagonal, params.omega * tri.offdiagonal)
     if args.method == "ode":
         _, series = evolve_ode(h, grid, args.step)
     else:

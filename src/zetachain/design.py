@@ -106,10 +106,9 @@ def _geometry(tri: SymmetricTridiagonal, fab: FabricationConstants):
     """Bond geometry and the first constraint it breaks: the one feasibility rule.
 
     Returns (d, cos_theta, r_limits, r_paraxial, violation): spacings, tilt
-    cosines, per-bond radius limits (|cos theta_n| is linear in R, so bond n
-    is realizable for R <= r_limits[n]), the paraxial bound 100 max d that R
-    must exceed, and the error waveguide_layout raises, None when feasible.
-    Couplings outside (0, kappa) leave no geometry; the arrays are then NaN.
+    cosines, the largest R keeping each bond's tilt realizable, the bound
+    100 max d that R must exceed, and the error waveguide_layout raises
+    (None when feasible).  Couplings outside (0, kappa) give NaN arrays.
     """
     j = tri.offdiagonal
     if j.size and not 0.0 < j.min() <= j.max() < fab.kappa:

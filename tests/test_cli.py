@@ -241,11 +241,18 @@ def test_help_still_exits_0(capsys):
         ["simulate", "--sigma", "inf"],
         ["verify", "--sigma", "inf"],
         ["design", "--omega", "nan"],
+        ["simulate", "--omega", "1.7e308", "--points", "3"],
     ],
 )
 def test_non_finite_input_exits_2_with_one_json_line(argv, capsys):
     assert main(argv) == 2
     assert one_json_line(capsys, 2)["error"] == "ValidationError"
+
+
+def test_ode_overflow_exits_3_with_one_json_line(capsys):
+    # RK4 at step 1e-3 overflows under omega * H at omega = 1e300
+    assert main(["simulate", "--omega", "1e300", "--points", "3", "--method", "ode"]) == 3
+    assert one_json_line(capsys, 3)["error"] == "StepTooLarge"
 
 
 def test_oracle_term_limit_exits_4(capsys):

@@ -120,6 +120,13 @@ def test_ode_step_too_large():
         evolve_ode(tri, TimeGrid(0.0, 30.0, 31), 1.0)
 
 
+def test_ode_overflow_to_nan_is_step_too_large():
+    # h * H overflows, the state turns to NaN, and a NaN drift must not pass the check
+    tri = SymmetricTridiagonal(np.array([0.0, 1e300]), np.array([1e300]))
+    with pytest.raises(StepTooLarge):
+        evolve_ode(tri, TimeGrid(0.0, 1.0, 3), 0.5)
+
+
 def test_time_grid_rejects_cutoff_before_start():
     with pytest.raises(ValidationError, match="not before t_start"):
         TimeGrid(5.0, 50.0, 5, t_coh=1.0)

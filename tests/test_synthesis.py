@@ -446,3 +446,11 @@ def test_synthesize_reports_disconnected_chain():
 def test_lanczos_breaks_down_at_step_0():
     with pytest.raises(Breakdown, match="at step 0"):
         lanczos_synthesis(log_spectrum(BREAKDOWN_PARAMS), riemann_amplitudes(BREAKDOWN_PARAMS))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_tridiagonal_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        SymmetricTridiagonal(np.array([0.0, bad]), np.array([0.5]))
+    with pytest.raises(ValidationError, match="finite"):
+        SymmetricTridiagonal(np.array([0.0, 1.0]), np.array([bad]))
