@@ -36,8 +36,7 @@ margins = feasibility_report(tri, fab)
 print("feasible:", margins["feasible"],
       "| min coupling margin:", round(float(margins["coupling_margins"].min()), 3),
       "| min tilt margin:", round(float(margins["tilt_margins"].min()), 3),
-      "| R must lie in: (", round(margins["min_bend_radius"], 1), ",",
-      round(margins["suggested_r_max"], 1), "]\n")
+      "| R must stay below:", round(margins["suggested_r_max"], 1), "\n")
 
 design = waveguide_layout(tri, fab)
 print("round trip: max coupling rel err",

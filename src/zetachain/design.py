@@ -105,19 +105,21 @@ def spin_chain_params(tri: SymmetricTridiagonal) -> SpinChainParams:
 def _geometry(tri: SymmetricTridiagonal, fab: FabricationConstants):
     """Bond geometry and the first constraint it breaks: the one feasibility rule.
 
-    Returns (d, cos_theta, r_limits, r_paraxial, violation): spacings, tilt
-    cosines, the largest R keeping each bond's tilt realizable, the bound
-    100 max d that R must exceed, and the error waveguide_layout raises
-    (None when feasible).  Couplings outside (0, kappa) give NaN arrays.
+    Returns (d, cos_theta, r_limits, violation): spacings, tilt cosines,
+    the largest R keeping each bond's tilt realizable, and the error
+    waveguide_layout raises (None when feasible).  R must also exceed the
+    paraxial bound 100 max d.  Couplings outside (0, kappa) give NaN arrays.
     """
     j = tri.offdiagonal
     if j.size and not 0.0 < j.min() <= j.max() < fab.kappa:
         k = int(np.argmax(j))
         violation = ValidationError("all couplings must be strictly positive")
         if j[k] >= fab.kappa:
-            violation = CouplingTooStrong(f"J_{k} = {j[k]:.6g} >= kappa = {fab.kappa:.6g}; kappa must exceed {j[k]:.17g}")
+            violation = CouplingTooStrong(
+                f"J_{k} = {j[k]:.6g} >= kappa = {fab.kappa:.6g}; kappa must exceed {j[k]:.17g}"
+            )
         nan = np.full(j.shape, np.nan)
-        return nan, nan, nan, np.nan, violation
+        return nan, nan, nan, violation
     db = np.diff(tri.diagonal)
     d = np.log(fab.kappa / j) / fab.alpha
     cos_theta = db * fab.bend_radius * fab.lambda_bar / (fab.n_substrate * d)
@@ -135,7 +137,7 @@ def _geometry(tri: SymmetricTridiagonal, fab: FabricationConstants):
         violation = TiltInfeasible(
             f"|cos theta_{k}| = {abs(cos_theta[k]):.6g} > 1; reduce bend radius to at most {r_limits[k]:.17g}"
         )
-    return d, cos_theta, r_limits, r_paraxial, violation
+    return d, cos_theta, r_limits, violation
 
 
 def waveguide_layout(tri: SymmetricTridiagonal, fab: FabricationConstants) -> WaveguideDesign:
@@ -145,7 +147,7 @@ def waveguide_layout(tri: SymmetricTridiagonal, fab: FabricationConstants) -> Wa
     bend-induced detuning differences on the prescribed field gradient.
     Only energy differences are realized; the global offset is gauge.
     """
-    d, cos_theta, _, _, violation = _geometry(tri, fab)
+    d, cos_theta, _, violation = _geometry(tri, fab)
     if violation is not None:
         raise violation
     theta = np.arccos(cos_theta)
@@ -163,16 +165,14 @@ def feasibility_report(tri: SymmetricTridiagonal, fab: FabricationConstants) -> 
 
     coupling margins are kappa - J_n (> 0 required); tilt margins are
     1 - |cos theta_n| (>= 0 required, NaN without a geometry).
-    min_bend_radius is the paraxial bound R must exceed; suggested_r_max
-    is the largest bend radius keeping every tilt realizable.  feasible
-    is True exactly when waveguide_layout returns a design.
+    suggested_r_max is the largest bend radius keeping every tilt
+    realizable.  feasible is True exactly when waveguide_layout returns.
     """
-    _, cos_theta, r_limits, r_paraxial, violation = _geometry(tri, fab)
+    _, cos_theta, r_limits, violation = _geometry(tri, fab)
     return {
         "coupling_margins": fab.kappa - tri.offdiagonal,
         "tilt_margins": 1.0 - np.abs(cos_theta),
         "feasible": violation is None,
-        "min_bend_radius": float(r_paraxial),
         "suggested_r_max": float(r_limits.min(initial=np.inf)),
     }
 

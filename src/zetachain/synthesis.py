@@ -57,7 +57,9 @@ class SymmetricTridiagonal:
         if d.ndim != 1 or d.size < 1:
             raise ValidationError("diagonal must be a nonempty 1-d array")
         if e.ndim != 1 or e.size != d.size - 1:
-            raise DimensionMismatch(f"off-diagonal must have length {d.size - 1}, got {e.size}")
+            raise DimensionMismatch(
+                f"off-diagonal must have length {d.size - 1}, got {e.size}"
+            )
         if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise ValidationError("diagonal and off-diagonal must be finite")
 
