@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -120,9 +121,8 @@ def cmd_simulate(args) -> int:
     params = _params_from(args, omega=args.omega)
     grid = TimeGrid(t_start=args.t_start, t_end=args.t_end, n_points=args.points, t_coh=args.t_coh)
     tri = synthesize(params)
-    # omega * H: t is physical, a(t) = T(sigma + i omega t) / T(sigma); an overflow is refused
-    with np.errstate(over="ignore"):
-        h = SymmetricTridiagonal(params.omega * tri.diagonal, params.omega * tri.offdiagonal)
+    # omega * H, so the sample times are physical and a(t) = T(sigma + i omega t) / T(sigma)
+    h = SymmetricTridiagonal(params.omega * tri.diagonal, params.omega * tri.offdiagonal)
     if args.method == "ode":
         _, series = evolve_ode(h, grid, args.step)
     else:
@@ -261,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # overflow warnings stay off stderr; the checks downstream turn them into exit codes
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
     except ZetachainError as exc:
         for family, code in _EXIT_CODES:
             if isinstance(exc, family):

@@ -120,6 +120,7 @@ def test_ode_step_too_large():
         evolve_ode(tri, TimeGrid(0.0, 30.0, 31), 1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_ode_overflow_to_nan_is_step_too_large():
     # h * H overflows, the state turns to NaN, and a NaN drift must not pass the check
     tri = SymmetricTridiagonal(np.array([0.0, 1e300]), np.array([1e300]))
