@@ -35,7 +35,7 @@ class DisconnectedChain(NumericalBreakdown):
 
 
 class Breakdown(NumericalBreakdown):
-    """Three-term recurrence produced a vector of negligible norm."""
+    """A recurrence coefficient (Jacobi off-diagonal) fell below the floor or is not finite."""
 
 
 class ConvergenceFailure(NumericalBreakdown):

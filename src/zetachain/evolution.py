@@ -30,6 +30,9 @@ __all__ = [
 
 DEFAULT_STEP = 1e-3
 
+# RK4 sub-steps between checks that the state is still finite
+_FINITE_CHECK_EVERY = 256
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -113,7 +116,9 @@ def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_
     """Integrate i dc/dt = H c from c(0) = e_0 with fixed-step classical RK4.
 
     Returns the sampled state trajectory and the autocorrelation c_0(t).
-    Raises StepTooLarge when the norm drifts by more than 1e-6.
+    Raises StepTooLarge when the norm drifts by more than 1e-6 at a sample
+    time, or as soon as the state overflows to a non-finite value (checked
+    every few hundred sub-steps).
     """
     if not step > 0.0:
         raise ValidationError(f"step must be positive, got {step}")
@@ -125,12 +130,14 @@ def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_
         span = t1 - t0
         n_sub = max(int(np.ceil(abs(span) / step - 1e-12)), 1)
         h = span / n_sub
-        for _ in range(n_sub):
+        for i in range(1, n_sub + 1):
             k1 = -1j * (h_mat @ c)
             k2 = -1j * (h_mat @ (c + 0.5 * h * k1))
             k3 = -1j * (h_mat @ (c + 0.5 * h * k2))
             k4 = -1j * (h_mat @ (c + h * k3))
             c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if i % _FINITE_CHECK_EVERY == 0 and not np.isfinite(c).all():
+                raise StepTooLarge(f"state overflowed to a non-finite value by t = {t0 + i * h}; reduce the step")
         return c
 
     c = np.zeros(n, dtype=complex)

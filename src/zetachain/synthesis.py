@@ -3,10 +3,9 @@
 Pipeline: diagonal seed -> orthogonal completion of the amplitude vector
 -> similarity transform -> Householder tridiagonalization (LAPACK
 dsytrd) -> gauge fix.
-A three-term-recurrence construction of the same Jacobi matrix is kept
-as an independent cross-oracle (the discrete measure with nodes E_n and
-weights C_n**2 has a unique tridiagonal representation with positive
-off-diagonals).
+An independent cross-oracle builds the same Jacobi matrix straight from
+the nodes E_n and weights C_n**2 by Givens chasing (the discrete measure
+has a unique tridiagonal representation with positive off-diagonals).
 """
 
 from __future__ import annotations
@@ -224,10 +223,15 @@ def synthesize(params: SimulationParams) -> SymmetricTridiagonal:
 def lanczos_synthesis(energies, amplitudes) -> SymmetricTridiagonal:
     """Jacobi matrix of the discrete measure with the given nodes and weights.
 
-    Three-term recurrence on the diagonal operator diag(E) seeded with the
-    amplitude vector, with full reorthogonalization.  Independent oracle
-    for synthesize(): by uniqueness of the Jacobi matrix the two agree
-    entrywise.
+    Independent oracle for synthesize(): by uniqueness of the Jacobi
+    matrix the two agree entrywise.  Built by RKPW (Gragg & Harrod, Numer.
+    Math. 44 (1984) 317) in O(N**2) time and O(N) memory: nodes join one at
+    a time, and each new node's bulge is chased down the chain by Givens
+    rotations.  Chase m does its step j at tau = j + 2m; the chases alive
+    at one tau touch disjoint entries, so each tau is one vectorized step
+    on stride-2 slices.  B_0 is the square root of the weight so far and
+    B_{j+1} the hopping J_j.  Raises Breakdown at the first J_k below
+    the breakdown floor or not finite.
     """
     e = _unwrap(energies, "energies")
     c = _unwrap(amplitudes, "amplitudes")
@@ -239,21 +243,42 @@ def lanczos_synthesis(energies, amplitudes) -> SymmetricTridiagonal:
     if np.any(c <= 0.0):
         raise ValidationError("weights must be strictly positive")
 
-    # Krylov vectors are rows, so each reorthogonalization pass reads contiguous memory
-    basis = np.empty((n, n))
-    basis[0] = c / np.linalg.norm(c)
-    alphas = np.empty(n)
-    betas = np.empty(max(n - 1, 0))
-    for k in range(n):
-        w = e * basis[k]
-        alphas[k] = basis[k] @ w
-        if k == n - 1:
-            break
-        for _ in range(2):
-            w -= (basis[: k + 1] @ w) @ basis[: k + 1]
-        beta = np.linalg.norm(w)
-        if beta < _BREAKDOWN_TOL:
-            raise Breakdown(f"recurrence norm {beta:.3e} at step {k}")
-        betas[k] = beta
-        basis[k + 1] = w / beta
-    return SymmetricTridiagonal(alphas, betas)
+    alpha = np.zeros(n)
+    b = np.zeros(n + 1)
+    # per-chase state, chase m at index n - 1 - m so that it runs along j:
+    # the node xi, the bulge g (seeded with C_m itself, as C_m**2 may
+    # underflow) and eta = -h, where h is the bulge's coupling to site j
+    xi = e[::-1].copy()
+    g = c[::-1].copy()
+    eta = np.zeros(n)
+    for tau in range(3 * n - 2):
+        # chases m_lo..m_hi are alive, chase m at site j = tau - 2m
+        m_lo, m_hi = (tau + 2) // 3, (tau // 2 if tau < 2 * n else n - 1)
+        j0, j1 = tau - 2 * m_hi, tau - 2 * m_lo + 1
+        k0, k1 = n - 1 - m_hi, n - m_lo
+        bj, bj1, aj = b[j0:j1:2], b[j0 + 1 : j1 + 1 : 2], alpha[j0:j1:2]
+        x, gm, em = xi[k0:k1], g[k0:k1], eta[k0:k1]
+        r = np.hypot(bj, gm)
+        cos, sin = bj / r, gm / r
+        # rotate sites (j, bulge), difference form: u = s (xi - alpha_j) + 2 c h,
+        # t = s u, alpha_j += t, xi -= t, g <- c u - h, B_j <- r,
+        # eta <- s B_{j+1}, B_{j+1} <- c B_{j+1}, each from the old values
+        u = sin * (x - aj)
+        p = cos * em
+        u -= p
+        u -= p
+        t = sin * u
+        np.multiply(cos, u, out=gm)
+        gm += em
+        aj += t
+        x -= t
+        bj[...] = r
+        np.multiply(sin, bj1, out=em)
+        bj1 *= cos
+
+    betas = b[1:n]
+    bad = ~(np.isfinite(betas) & (betas >= _BREAKDOWN_TOL))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise Breakdown(f"recurrence norm {betas[k]:.3e} at step {k}")
+    return SymmetricTridiagonal(alpha, betas)

@@ -60,7 +60,7 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     M explicit terms, integral term (M+a)**(1-s)/(s-1), half-term, and
     Bernoulli corrections through B_6; M is chosen so the first neglected
     correction is below 1e-12 relative.  Restricted to finite s with
-    Re s > 1 (with a small guard band) and M <= 10**7.
+    Re s > 1 (with a small guard band), M <= 10**7 and a finite value.
     """
     _check_a(a)
     s = complex(s)
@@ -75,7 +75,13 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     for j in range(7):
         prod *= abs(s + j)
     target = 1e-13
-    m = np.ceil((_B8_OVER_8F * prod / target) ** (1.0 / (s.real + 7.0))) + 1
+    scaled = _B8_OVER_8F * prod / target
+    if math.isfinite(scaled):
+        m = np.ceil(scaled ** (1.0 / (s.real + 7.0))) + 1
+    else:
+        # from |s| ~ 5e43 the scaled product overflows; its logarithm does not
+        log_prod = sum(math.log(abs(s + j)) for j in range(7))
+        m = np.ceil(math.exp((math.log(_B8_OVER_8F / target) + log_prod) / (s.real + 7.0))) + 1
     if not m <= _EM_MAX_TERMS:
         raise OutOfDomain(f"|s| = {abs(s):.3e} needs {m:.3e} Euler-Maclaurin terms (limit {_EM_MAX_TERMS:.0e})")
     m = max(int(m), 16)
@@ -89,7 +95,10 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     tail += _EM_COEFFS[1] * factor
     factor *= (s + 3.0) * (s + 4.0) / (x * x)
     tail += _EM_COEFFS[2] * factor
-    return head + tail
+    value = head + tail
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise OutOfDomain(f"zeta({s}, {a}) overflows double precision")
+    return value
 
 
 def truncation_error_estimate(n_terms: float, sigma: float) -> float:

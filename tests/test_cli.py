@@ -254,6 +254,26 @@ def test_oracle_term_limit_exits_4(capsys):
     assert one_json_line(capsys, 4)["error"] == "OutOfDomain"
 
 
+def test_oracle_term_limit_names_a_finite_count(capsys):
+    assert main(["simulate", "--omega", "1e300", "--points", "3"]) == 4
+    message = one_json_line(capsys, 4)["message"]
+    count = float(message.split(" needs ")[1].split(" ")[0])
+    assert math.isfinite(count)
+
+
+def test_oracle_overflow_exits_4(capsys):
+    # zeta(1100, 0.5) > 2**1100 exceeds double range; the reference columns were NaN
+    assert main(["simulate", "--n", "1", "--a", "0.5", "--sigma", "1100", "--points", "3"]) == 4
+    assert "overflows" in one_json_line(capsys, 4)["message"]
+
+
+def test_ode_overflow_names_a_time_before_the_first_sample(capsys):
+    # default window [0, 50] at 3 points: the first sample after t = 0 is 25
+    assert main(["simulate", "--omega", "1e300", "--points", "3", "--method", "ode"]) == 3
+    message = one_json_line(capsys, 3)["message"]
+    assert float(message.split("by t = ")[1].split(";")[0]) < 25.0
+
+
 @pytest.mark.parametrize(
     "argv,error",
     [

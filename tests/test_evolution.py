@@ -128,6 +128,18 @@ def test_ode_overflow_to_nan_is_step_too_large():
         evolve_ode(tri, TimeGrid(0.0, 1.0, 3), 0.5)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_ode_stops_at_the_first_non_finite_state():
+    # the state is NaN after one sub-step; the run stops within a few hundred
+    # sub-steps instead of stepping on NaN until the first sample at t = 25
+    tri = SymmetricTridiagonal(np.array([0.0, 1e300]), np.array([1e300]))
+    grid = TimeGrid(0.0, 50.0, 3)
+    with pytest.raises(StepTooLarge, match="non-finite") as err:
+        evolve_ode(tri, grid)
+    t = float(str(err.value).split("by t = ")[1].split(";")[0])
+    assert 0.0 < t < grid.times()[1]
+
+
 def test_time_grid_rejects_cutoff_before_start():
     with pytest.raises(ValidationError, match="not before t_start"):
         TimeGrid(5.0, 50.0, 5, t_coh=1.0)

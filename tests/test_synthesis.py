@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,31 @@ def householder_reference(dense):
         v_full[k + 1 :] = v
         reflectors.append(v_full)
     return np.diag(a).copy(), np.diag(a, 1).copy(), q, reflectors
+
+
+def lanczos_reference(energies, amplitudes):
+    """Loop form of lanczos_synthesis: fully reorthogonalized Lanczos on diag(E), (alphas, betas)."""
+    e = np.asarray(energies, dtype=float)
+    c = np.asarray(amplitudes, dtype=float)
+    n = e.size
+    # Krylov vectors are rows, so each reorthogonalization pass reads contiguous memory
+    basis = np.empty((n, n))
+    basis[0] = c / np.linalg.norm(c)
+    alphas = np.empty(n)
+    betas = np.empty(max(n - 1, 0))
+    for k in range(n):
+        w = e * basis[k]
+        alphas[k] = basis[k] @ w
+        if k == n - 1:
+            break
+        for _ in range(2):
+            w -= (basis[: k + 1] @ w) @ basis[: k + 1]
+        beta = np.linalg.norm(w)
+        if beta < synthesis._BREAKDOWN_TOL:
+            raise Breakdown(f"recurrence norm {beta:.3e} at step {k}")
+        betas[k] = beta
+        basis[k + 1] = w / beta
+    return alphas, betas
 
 
 def _unit(v):
@@ -422,6 +448,115 @@ def test_lanczos_cross_checks_householder_on_random_measures():
         fixed, _ = gauge_fix(tri)
         np.testing.assert_allclose(via_lanczos.diagonal, fixed.diagonal, atol=1e-8)
         np.testing.assert_allclose(via_lanczos.offdiagonal, fixed.offdiagonal, atol=1e-8)
+
+
+def _breakdown_step(route):
+    """The step a route's Breakdown names, or None when it returns."""
+    try:
+        route()
+    except Breakdown as err:
+        return int(str(err).rsplit(" ", 1)[1])
+    return None
+
+
+def _assert_oracle_agrees(tri, diagonal, offdiagonal, diag_atol, off_rtol):
+    np.testing.assert_allclose(tri.diagonal, diagonal, rtol=0, atol=diag_atol)
+    np.testing.assert_allclose(tri.offdiagonal, offdiagonal, rtol=off_rtol, atol=0)
+
+
+# Measured worst gaps on this grid (N = 1000): diagonal 1.7e-13 absolute and
+# hoppings 2.2e-12 relative against the reference loop, 3.4e-13 and 4.2e-12
+# against synthesize; both grow about linearly in N.  Bounds: 2e-15 * N
+# absolute on the diagonal, 2e-14 * N relative on the hoppings.
+@pytest.mark.parametrize("sigma", [1.05, 2.0, 5.0, 20.0, 40.0])
+@pytest.mark.parametrize("a", [0.05, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 200, 1000])
+def test_lanczos_agrees_with_reference_loop_and_pipeline(n, a, sigma):
+    p = SimulationParams(n, a, sigma)
+    e, c = log_spectrum(p).energies, riemann_amplitudes(p).amplitudes
+    step = _breakdown_step(lambda: lanczos_reference(e, c))
+    if step is not None:
+        # a = 0.05 at sigma >= 20: the weight beyond site 0 is below the floor
+        with pytest.raises(Breakdown, match=f"at step {step}$"):
+            lanczos_synthesis(e, c)
+        with pytest.raises(DisconnectedChain, match=f"J_{step} "):
+            synthesize(p)
+        return
+    tri = lanczos_synthesis(e, c)
+    diag_atol, off_rtol = 2e-15 * n, 2e-14 * n
+    _assert_oracle_agrees(tri, *lanczos_reference(e, c), diag_atol, off_rtol)
+    pipeline = synthesize(p)
+    _assert_oracle_agrees(tri, pipeline.diagonal, pipeline.offdiagonal, diag_atol, off_rtol)
+
+
+_MEASURE_RNG = np.random.default_rng(5)
+_RIEMANN_200 = SimulationParams(200, 0.5, 2.0)
+# (nodes, amplitudes, tolerance relative to max |node|); each tolerance is about
+# 10x the worst gap to the reference loop over seeds 0-4 of the same recipe
+RANDOM_MEASURES = {
+    # measured 1.9e-15
+    "unsorted_50": (
+        _MEASURE_RNG.permutation(np.linspace(-1.0, 3.0, 50)) + _MEASURE_RNG.uniform(0.0, 1e-3, 50),
+        _MEASURE_RNG.uniform(0.1, 1.0, 50),
+        5e-14,
+    ),
+    # measured 1.3e-12; weights span eight decades
+    "mixed_sign_120": (
+        10.0 * _MEASURE_RNG.standard_normal(120),
+        10.0 ** _MEASURE_RNG.uniform(-8.0, 0.0, 120),
+        1e-11,
+    ),
+    # measured 1.9e-11: six clusters of ten nodes 1e-4 apart, shuffled.  Against
+    # a 60-digit RKPW the reference loop is off by ~2e-12 and this oracle by ~2e-11
+    "clustered_60": (
+        (np.repeat(np.arange(6.0), 10) + 1e-4 * np.tile(np.arange(10.0), 6))[_MEASURE_RNG.permutation(60)],
+        _MEASURE_RNG.uniform(0.1, 1.0, 60),
+        2e-10,
+    ),
+    # measured 8.5e-14: the Riemann measure, largest node first
+    "riemann_reversed_200": (
+        log_spectrum(_RIEMANN_200).energies[::-1].copy(),
+        riemann_amplitudes(_RIEMANN_200).amplitudes[::-1].copy(),
+        1e-12,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_MEASURES))
+def test_lanczos_matches_reference_loop_on_random_measures(name):
+    nodes, amps, tol = RANDOM_MEASURES[name]
+    tri = lanczos_synthesis(nodes, amps)
+    _assert_oracle_agrees(tri, *lanczos_reference(nodes, amps), tol * np.abs(nodes).max(), tol)
+
+
+def test_lanczos_breaks_down_after_the_heavy_nodes():
+    # three nodes carry all but 7e-40 of the weight, so J_2 ~ 1e-18 is the first below the floor
+    nodes = np.linspace(0.0, 1.0, 10)
+    amps = np.array([0.6, 0.5, 0.4] + [1e-20] * 7)
+    with pytest.raises(Breakdown, match="at step 2$"):
+        lanczos_reference(nodes, amps)
+    with pytest.raises(Breakdown, match="at step 2$"):
+        lanczos_synthesis(nodes, amps)
+
+
+def test_lanczos_reports_a_non_finite_hopping():
+    # the exact chain is finite (J_0 = 9.6e307), but the chase overflows on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(Breakdown, match="recurrence norm inf at step 0"):
+            lanczos_synthesis(np.array([-1e308, 1e308]), np.array([0.6, 0.8]))
+
+
+def test_lanczos_memory_is_linear_in_n():
+    # at N = n_min(1.2) one N x N float64 array is 78 MB; the chase peaked at 0.19 MB
+    p = SimulationParams(3125, 0.5, 1.2)
+    e, c = log_spectrum(p), riemann_amplitudes(p)
+    tracemalloc.start()
+    try:
+        lanczos_synthesis(e, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * p.n_levels**2 / 100
 
 
 def test_lanczos_input_validation():

@@ -14,6 +14,7 @@ from zetachain import (
     tail_bound,
     truncation_error_estimate,
 )
+from zetachain.zetaref import _EM_MAX_TERMS
 
 
 def test_dirichlet_exact_rational_sum():
@@ -59,10 +60,34 @@ def test_hurwitz_out_of_domain():
         hurwitz_zeta(1.0, 1.0)
     with pytest.raises(OutOfDomain):
         hurwitz_zeta(0.5 + 14.0j, 1.0)
-    # |Im s| = 1e300 overflows the cutoff estimate, 1e12 asks for ~1e10 explicit terms
+    # |Im s| = 1e300 asks for ~1e234 explicit terms, 1e12 for ~1e10
     for t in (1e300, 1e12):
         with pytest.raises(OutOfDomain, match="Euler-Maclaurin terms"):
             hurwitz_zeta(complex(2.0, t), 0.5)
+
+
+@pytest.mark.parametrize("t", [1e44, 1e300])
+def test_hurwitz_refusal_names_a_finite_term_count(t):
+    # the Pochhammer product of the cutoff estimate overflows here; its logarithm does not
+    with pytest.raises(OutOfDomain, match="Euler-Maclaurin terms") as err:
+        hurwitz_zeta(complex(2.0, t), 0.5)
+    count = float(str(err.value).split(" needs ")[1].split(" ")[0])
+    assert _EM_MAX_TERMS < count < math.inf
+
+
+def test_hurwitz_cutoff_from_logarithms_still_evaluates():
+    # |s| ~ 1e50 overflows the product, but at sigma = 400 ~30 terms suffice:
+    # the value is the n = 0 term 0.5**(-s) to within 2**(-400)
+    s = complex(400.0, 1e50)
+    assert hurwitz_zeta(s, 1.0) == pytest.approx(1.0, abs=1e-100)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("s", [1100.0, 1.5e308])
+def test_hurwitz_refuses_a_value_beyond_double_range(s):
+    # 0.5**(-1100) is 2**1100 > 1.8e308
+    with pytest.raises(OutOfDomain, match="overflows double precision"):
+        hurwitz_zeta(s, 0.5)
 
 
 @pytest.mark.parametrize("s", [math.inf, complex(2.0, math.inf), complex(math.nan, 1.0), complex(2.0, math.nan)])
