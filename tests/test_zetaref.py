@@ -77,7 +77,7 @@ def test_hurwitz_refusal_names_a_finite_term_count(t):
 
 def test_hurwitz_cutoff_from_logarithms_still_evaluates():
     # |s| ~ 1e50 overflows the product, but at sigma = 400 ~30 terms suffice:
-    # the value is the n = 0 term 0.5**(-s) to within 2**(-400)
+    # the value is the n = 0 term 1**(-s) = 1 to within 2**(-400)
     s = complex(400.0, 1e50)
     assert hurwitz_zeta(s, 1.0) == pytest.approx(1.0, abs=1e-100)
 
