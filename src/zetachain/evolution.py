@@ -115,6 +115,13 @@ def evolve_spectral(tri: SymmetricTridiagonal, grid: TimeGrid) -> Autocorrelatio
 def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_STEP):
     """Integrate i dc/dt = H c from c(0) = e_0 with fixed-step classical RK4.
 
+    For this linear system one RK4 sub-step of length h is c <- c + D(h) c
+    with D(h) = sum_{1<=k<=4} (-ihH)^k / k!, a banded matrix of bandwidth
+    4.  The band of each H^k is formed once per call; each sample interval
+    writes D(h) from it, so a sub-step is one matvec and one add: O(N^2),
+    the same classical RK4.  Adding D(h) c to c, rather than multiplying by
+    I + D(h), keeps the round-off per sub-step at the size of the increment.
+
     Returns the sampled state trajectory and the autocorrelation c_0(t).
     Raises StepTooLarge when the norm drifts by more than 1e-6 at a sample
     time, or as soon as the state overflows to a non-finite value (checked
@@ -122,20 +129,40 @@ def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_
     """
     if not step > 0.0:
         raise ValidationError(f"step must be positive, got {step}")
-    h_mat = tri.to_dense()
     t_samples = grid.times()
     n = tri.order
+    # H / rho with rho a power of two: an exact scaling that keeps (H / rho)^k finite
+    h_max = max(np.abs(tri.diagonal).max(), np.abs(tri.offdiagonal).max(initial=0.0))
+    rho = math.ldexp(1.0, math.frexp(h_max)[1])
+    d = tri.diagonal[:, None] / rho
+    e = tri.offdiagonal[:, None] / rho
+
+    # (H / rho)^k e_j lives on rows j-4..j+4 for k <= 4, so the w interleaved
+    # probes sum_{j = r mod w} e_j, 9 sites apart, carry every band entry unmixed
+    w = min(9, n)
+    x = np.zeros((n, w))
+    x[np.arange(n), np.arange(n) % w] = 1.0
+    rows = np.concatenate([np.arange(max(-k, 0), n - max(k, 0)) for k in range(-4, 5)])
+    cols = np.concatenate([np.arange(max(k, 0), n + min(k, 0)) for k in range(-4, 5)])
+    probe_cols = cols % w
+    bands = []
+    for _ in range(4):
+        y = d * x
+        y[:-1] += e * x[1:]
+        y[1:] += e * x[:-1]
+        x = y
+        bands.append(x[rows, probe_cols])
+    bands = np.array(bands)
+    increment = np.zeros((n, n), dtype=complex)
 
     def rk4_advance(c, t0, t1):
         span = t1 - t0
         n_sub = max(int(np.ceil(abs(span) / step - 1e-12)), 1)
         h = span / n_sub
+        z = -1j * h * rho
+        increment[rows, cols] = np.cumprod([z, z / 2.0, z / 3.0, z / 4.0]) @ bands
         for i in range(1, n_sub + 1):
-            k1 = -1j * (h_mat @ c)
-            k2 = -1j * (h_mat @ (c + 0.5 * h * k1))
-            k3 = -1j * (h_mat @ (c + 0.5 * h * k2))
-            k4 = -1j * (h_mat @ (c + h * k3))
-            c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            c += increment.dot(c)  # ndarray.dot: less call overhead than @ on small chains
             if i % _FINITE_CHECK_EVERY == 0 and not np.isfinite(c).all():
                 raise StepTooLarge(f"state overflowed to a non-finite value by t = {t0 + i * h}; reduce the step")
         return c

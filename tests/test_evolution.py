@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,29 @@ def truncated_series_reference(params, times):
     return np.array(
         [norm2 * np.sum(n ** -(params.sigma + 1j * t)) for t in times]
     )
+
+
+def rk4_reference(tri, grid, step):
+    """States of classical RK4 with four dense matvecs per sub-step, sub-steps as in evolve_ode."""
+    h_mat = tri.to_dense()
+    c = np.zeros(tri.order, dtype=complex)
+    c[0] = 1.0
+    states = []
+    t_prev = 0.0
+    for t in grid.times():
+        if t != t_prev:
+            span = t - t_prev
+            n_sub = max(int(np.ceil(abs(span) / step - 1e-12)), 1)
+            h = span / n_sub
+            for _ in range(n_sub):
+                k1 = -1j * (h_mat @ c)
+                k2 = -1j * (h_mat @ (c + 0.5 * h * k1))
+                k3 = -1j * (h_mat @ (c + 0.5 * h * k2))
+                k4 = -1j * (h_mat @ (c + h * k3))
+                c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t_prev = t
+        states.append(c)
+    return np.array(states)
 
 
 def test_time_grid_validation():
@@ -183,3 +207,47 @@ def test_zeta_estimate_omega_scales_axis():
     pairs = zeta_estimate(series, p)
     s_last = pairs[-1][0]
     assert s_last == 2.0 + 1j * 2.5 * 4.0
+
+
+# N = 9 is the probe width; step 0.5 is longer than the 0.05 spans, so each span is one sub-step
+@pytest.mark.parametrize("step", [1e-3, 0.025, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 10, 16, 64])
+def test_ode_matches_reference_loop(n, step):
+    tri = synthesize(SimulationParams(n, 0.5, 2.0))
+    grid = TimeGrid(0.0, 2.0, 41)
+    traj, _ = evolve_ode(tri, grid, step)
+    assert np.abs(traj.states - rk4_reference(tri, grid, step)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [TimeGrid(-1.0, 1.0, 21), TimeGrid(0.0, 10.0, 101, t_coh=2.5)],
+    ids=["negative_first_span", "coherence_cutoff"],
+)
+def test_ode_matches_reference_loop_on_cut_grids(grid):
+    tri = synthesize(SimulationParams(10, 0.5, 2.0))
+    traj, _ = evolve_ode(tri, grid, 1e-3)
+    np.testing.assert_array_equal(traj.times, grid.times())
+    assert np.abs(traj.states - rk4_reference(tri, grid, 1e-3)).max() < 1e-12
+
+
+def test_ode_matches_reference_loop_when_powers_of_h_overflow():
+    # H ~ 1e200 with h ~ 1e-202: h*H is small although H**2 overflows a double
+    base = synthesize(SimulationParams(10, 0.5, 2.0))
+    tri = SymmetricTridiagonal(1e200 * base.diagonal, 1e200 * base.offdiagonal)
+    grid = TimeGrid(0.0, 1e-200, 11)
+    traj, _ = evolve_ode(tri, grid, 1e-202)
+    assert np.abs(traj.states - rk4_reference(tri, grid, 1e-202)).max() < 1e-12
+
+
+def test_ode_memory_within_the_dense_budget():
+    # synthesize admits an N whose 4 float64 N x N arrays fit in memory
+    n = 500
+    tri = synthesize(SimulationParams(n, 0.5, 2.0))
+    tracemalloc.start()
+    try:
+        evolve_ode(tri, TimeGrid(0.0, 0.002, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n * n
