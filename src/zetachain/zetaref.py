@@ -72,8 +72,11 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     # size M from the first neglected (B_8) correction:
     #   |B_8/8!| * prod_{j=0}^{6} |s+j| * (M+a)^(1 - Re s - 8) < 1e-13
     prod = 1.0
-    for j in range(7):
-        prod *= abs(s + j)
+    try:
+        for j in range(7):
+            prod *= abs(s + j)
+    except OverflowError:  # |s + j| itself exceeds the double range
+        raise OutOfDomain(f"s = {s} is out of double range") from None
     target = 1e-13
     scaled = _B8_OVER_8F * prod / target
     if math.isfinite(scaled):
@@ -88,8 +91,11 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
 
     head = dirichlet_truncated(s, a, m)
     x = m + a
-    tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
-    factor = s * x ** (-s - 1.0)
+    try:
+        tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
+        factor = s * x ** (-s - 1.0)
+    except (OverflowError, ZeroDivisionError):  # Python's complex power: modulus or phase out of range
+        raise OutOfDomain(f"s = {s} is out of double range") from None
     tail += _EM_COEFFS[0] * factor
     factor *= (s + 1.0) * (s + 2.0) / (x * x)
     tail += _EM_COEFFS[1] * factor

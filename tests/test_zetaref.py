@@ -90,6 +90,15 @@ def test_hurwitz_refuses_a_value_beyond_double_range(s):
         hurwitz_zeta(s, 0.5)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("a", [0.5, 1.0])
+@pytest.mark.parametrize("s", [complex(1.7e308, 1.7e308), complex(1e308, 1e308)])
+def test_hurwitz_refuses_s_out_of_double_range(s, a):
+    # |s| itself overflows at the first s; the phase Im(s) * ln(M + a) of the tail at the second
+    with pytest.raises(OutOfDomain, match="out of double range"):
+        hurwitz_zeta(s, a)
+
+
 @pytest.mark.parametrize("s", [math.inf, complex(2.0, math.inf), complex(math.nan, 1.0), complex(2.0, math.nan)])
 def test_hurwitz_rejects_non_finite_s(s):
     with pytest.raises(ValidationError, match="finite"):
