@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .core import SimulationParams, log_spectrum, riemann_amplitudes
 from .errors import Breakdown, DegenerateInput, DimensionMismatch, DisconnectedChain, ValidationError
@@ -129,6 +128,8 @@ def similarity_transform(spectrum, basis: np.ndarray) -> np.ndarray:
 
 def _tridiagonalize(dense: np.ndarray):
     """LAPACK dsytrd on the lower triangle: (packed reflectors, diagonal, off-diagonal, tau)."""
+    from scipy.linalg import lapack  # imported here so that `import zetachain` stays light
+
     a = np.asarray(dense, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
@@ -146,6 +147,8 @@ def householder_tridiagonalize(dense: np.ndarray):
     (None where a step had nothing to annihilate).  The first row of Q is
     e_0, so the first row of the diagonalizing matrix is preserved.
     """
+    from scipy.linalg import lapack
+
     packed, d, e, tau = _tridiagonalize(dense)
     n = d.size
     # the reflectors act on rows 1.. only, so Q = diag(1, Q') and Q' is the

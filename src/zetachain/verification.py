@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import SimulationParams, log_spectrum, riemann_amplitudes
 from .errors import ConvergenceFailure, DimensionMismatch
@@ -63,6 +62,8 @@ def eigh_tridiagonal(tri: SymmetricTridiagonal) -> EigenDecomposition:
     Backed by LAPACK's implicit-shift tridiagonal solver; a convergence
     failure there is surfaced as ConvergenceFailure.
     """
+    import scipy.linalg  # imported here so that `import zetachain` stays light
+
     if tri.order == 1:
         return EigenDecomposition(tri.diagonal.copy(), np.ones((1, 1)))
     try:

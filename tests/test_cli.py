@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zetachain
 from zetachain import dirichlet_truncated, hurwitz_zeta, synthesis, tail_bound
 from zetachain.cli import main
 
@@ -303,3 +307,11 @@ def test_oversized_chain_exits_2_naming_largest_n(command, monkeypatch, capsys):
     diag = one_json_line(capsys, 2)
     assert diag["error"] == "ValidationError"
     assert "largest feasible N is 181" in diag["message"]
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # domain, --help and usage errors never call LAPACK, so they should not pay for importing it
+    src = os.path.dirname(os.path.dirname(zetachain.__file__))
+    code = "import sys, zetachain.cli; sys.exit('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0
