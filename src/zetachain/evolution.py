@@ -132,8 +132,8 @@ def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_
     t_samples = grid.times()
     n = tri.order
     # H / rho with rho a power of two: an exact scaling that keeps (H / rho)^k finite
-    h_max = max(np.abs(tri.diagonal).max(), np.abs(tri.offdiagonal).max(initial=0.0))
-    rho = math.ldexp(1.0, math.frexp(h_max)[1])
+    entry_max = max(np.abs(tri.diagonal).max(), np.abs(tri.offdiagonal).max(initial=0.0))
+    rho = math.ldexp(1.0, math.frexp(entry_max)[1])
     d = tri.diagonal[:, None] / rho
     e = tri.offdiagonal[:, None] / rho
 

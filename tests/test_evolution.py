@@ -231,7 +231,7 @@ def test_ode_matches_reference_loop_on_cut_grids(grid):
     assert np.abs(traj.states - rk4_reference(tri, grid, 1e-3)).max() < 1e-12
 
 
-def test_ode_matches_reference_loop_when_powers_of_h_overflow():
+def test_ode_matches_reference_loop_when_hamiltonian_powers_overflow():
     # H ~ 1e200 with h ~ 1e-202: h*H is small although H**2 overflows a double
     base = synthesize(SimulationParams(10, 0.5, 2.0))
     tri = SymmetricTridiagonal(1e200 * base.diagonal, 1e200 * base.offdiagonal)
