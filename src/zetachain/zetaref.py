@@ -96,11 +96,14 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
         factor = s * x ** (-s - 1.0)
     except (OverflowError, ZeroDivisionError):  # Python's complex power: modulus or phase out of range
         raise OutOfDomain(f"s = {s} is out of double range") from None
-    tail += _EM_COEFFS[0] * factor
-    factor *= (s + 1.0) * (s + 2.0) / (x * x)
-    tail += _EM_COEFFS[1] * factor
-    factor *= (s + 3.0) * (s + 4.0) / (x * x)
-    tail += _EM_COEFFS[2] * factor
+    # once x**(-s-1) underflows to 0 the corrections vanish; skipping them keeps an
+    # overflowing (s+1)(s+2) (Re s > ~1e154) from turning 0 * inf into nan
+    if factor:
+        tail += _EM_COEFFS[0] * factor
+        factor *= (s + 1.0) * (s + 2.0) / (x * x)
+        tail += _EM_COEFFS[1] * factor
+        factor *= (s + 3.0) * (s + 4.0) / (x * x)
+        tail += _EM_COEFFS[2] * factor
     value = head + tail
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise OutOfDomain(f"zeta({s}, {a}) overflows double precision")

@@ -271,6 +271,12 @@ def test_oracle_overflow_exits_4(capsys):
     assert "overflows" in one_json_line(capsys, 4)["message"]
 
 
+def test_oracle_at_a_1_and_huge_sigma_exits_0(capsys):
+    # zeta(1e200, 1) = 1: the reference columns are finite, unlike zeta(1100, 0.5) above
+    assert main(["simulate", "--n", "1", "--a", "1", "--sigma", "1e200", "--points", "3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_ode_overflow_names_a_time_before_the_first_sample(capsys):
     # default window [0, 50] at 3 points: the first sample after t = 0 is 25
     assert main(["simulate", "--omega", "1e300", "--points", "3", "--method", "ode"]) == 3
