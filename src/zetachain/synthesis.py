@@ -2,7 +2,9 @@
 
 Pipeline: diagonal seed -> orthogonal completion of the amplitude vector
 -> similarity transform -> Householder tridiagonalization (LAPACK
-dsytrd) -> gauge fix.
+dsytrd) -> gauge fix.  synthesize() writes the conjugated seed T^T diag(E) T
+in closed form in O(N**2), without forming the basis T; the stepwise
+public functions remain as the reference route.
 An independent cross-oracle builds the same Jacobi matrix straight from
 the nodes E_n and weights C_n**2 by Givens chasing (the discrete measure
 has a unique tridiagonal representation with positive off-diagonals).
@@ -37,7 +39,8 @@ _GS_SKIP_TOL = 1e-10
 _BREAKDOWN_TOL = 1e-12
 
 # N x N float64 arrays alive at once at the peak of synthesize + verify_synthesis
-_DENSE_ARRAYS = 4
+# (traced: 2.14 at N = 1500, also the peak of evolve_spectral and evolve_ode)
+_DENSE_ARRAYS = 3
 
 
 @dataclass(frozen=True)
@@ -77,23 +80,19 @@ def _unwrap(x, name: str) -> np.ndarray:
     return np.asarray(getattr(x, name, x), dtype=float)
 
 
-def orthogonal_completion(amplitudes) -> np.ndarray:
-    """Complete a unit vector to an orthonormal basis with it as first column.
+def _completion_order(c: np.ndarray):
+    """Candidate order of the Gram-Schmidt completion of a unit C, C[order] and its tails.
 
-    Gram-Schmidt over the ordered candidates {C, e_0, e_1, ..., e_{N-1}},
-    skipping the single candidate whose residual collapses (dimension
-    counting guarantees exactly one skip), evaluated in closed form.  With
-    tail norms r_k = |C_{k:}|, candidate e_k leaves the residual
-    e_k - C_k C_{k:} / r_k**2 of norm r_{k+1} / r_k, so column k+1 is
-    r_{k+1} / r_k at row k and -C_i C_k / (r_k r_{k+1}) at rows i > k.
-    The skipped index keeps its weight in every later tail, which is the
-    same formula with that index moved to the end.
+    Gram-Schmidt runs over the ordered candidates {C, e_0, e_1, ..., e_{N-1}}
+    and skips the single candidate whose residual collapses (dimension
+    counting guarantees exactly one skip).  The skipped index keeps its
+    weight in every later tail, which is the skip-free formula with that
+    index moved to the end.  Returns (order, C[order], r) with tail norms
+    r_k = |C[order][k:]|.
     """
-    c = _unwrap(amplitudes, "amplitudes")
     n = c.size
     if abs(np.linalg.norm(c) - 1.0) > 1e-10:
         raise DegenerateInput(f"amplitude vector must be unit norm, |C| = {np.linalg.norm(c)}")
-
     # accumulate copies its first element unchanged, hence the abs
     tail = np.hypot.accumulate(np.abs(c[::-1]))[::-1]
     # residual r_{k+1} / r_k < tol, divided through by tol: tol * r_k would
@@ -102,7 +101,22 @@ def orthogonal_completion(amplitudes) -> np.ndarray:
     skip = int(np.argmax(collapsed)) if collapsed.any() else n - 1
     order = np.r_[0:skip, skip + 1 : n, skip]
     cp = c[order]
-    r = np.hypot.accumulate(np.abs(cp[::-1]))[::-1]
+    return order, cp, np.hypot.accumulate(np.abs(cp[::-1]))[::-1]
+
+
+def orthogonal_completion(amplitudes) -> np.ndarray:
+    """Complete a unit vector to an orthonormal basis with it as first column.
+
+    Gram-Schmidt over the ordered candidates {C, e_0, e_1, ..., e_{N-1}},
+    skipping the one whose residual collapses, evaluated in closed form.
+    With tail norms r_k = |C_{k:}|, candidate e_k leaves the residual
+    e_k - C_k C_{k:} / r_k**2 of norm r_{k+1} / r_k, so column k+1 is
+    r_{k+1} / r_k at row k and -C_i C_k / (r_k r_{k+1}) at rows i > k, in
+    the order of _completion_order.
+    """
+    c = _unwrap(amplitudes, "amplitudes")
+    n = c.size
+    order, cp, r = _completion_order(c)
     q = np.empty((n, n))
     q[:, 0] = cp
     # below the diagonal both factors of -(C_i / r_{k+1}) (C_k / r_k) are <= 1 in
@@ -124,6 +138,48 @@ def similarity_transform(spectrum, basis: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"basis shape {t.shape} incompatible with {e.size} energies")
     h = t.T @ (e[:, None] * t)
     return 0.5 * (h + h.T)
+
+
+def _conjugated_seed(energies, amplitudes) -> np.ndarray:
+    """T^T diag(E) T for T = orthogonal_completion(C), written in O(N**2) without T.
+
+    In the completion order, with E' = E[order], C' = C[order] and tails r_k,
+    T^T diag(E) T is diagonal plus semiseparable:
+
+        entry (K, L) = delta_KL mu_K + b_K b_L D'_max(K, L),
+
+    b = (-1, beta_0, ..., beta_{N-2}) with beta_k = C'_k / (r_k r_{k+1}),
+    mu = (E'_0, E'_0, E'_1, ..., E'_{N-2}), D' = (D_0, D_0, D_1, ..., D_{N-2})
+    and D_l = sum_{j >= l} (E'_{j+1} - E'_j) r_{j+1}**2.  beta overflows and D
+    underflows once a tail falls below ~1e-154, so each entry K <= L is taken
+    as v_K v_L G_L s_L / s_K with v = (-1, C'_0 / r_0, ..., C'_{N-2} / r_{N-2}),
+    s = (1, r_1, ..., r_{N-1}) and G_L = D'_L / s_L**2 <= max E' - min E',
+    whose recurrence G_L = (E'_L - mu_L) + (s_{L+1} / s_L)**2 G_{L+1} has no
+    factor beyond the double range.
+    """
+    e = _unwrap(energies, "energies")
+    c = _unwrap(amplitudes, "amplitudes")
+    n = c.size
+    order, cp, r = _completion_order(c)
+    lam = e[order]
+    mu = np.r_[lam[0], lam[:-1]]
+    s = np.r_[1.0, r[1:]]
+    v = np.r_[-1.0, cp[:-1] / r[:-1]]
+    rise, decay = (lam - mu).tolist(), ((s[1:] / s[:-1]) ** 2).tolist() + [0.0]
+    g = np.empty(n)
+    acc = 0.0
+    for k in range(n - 1, -1, -1):
+        acc = rise[k] + decay[k] * acc
+        g[k] = acc
+    # s_L / s_K <= 1 on and above the diagonal; below it the ratio can overflow,
+    # and the mirror overwrites that triangle
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = s / s[:, None]
+        h *= v[:, None]
+        h *= v * g
+    np.copyto(h, h.T, where=np.tri(n, k=-1, dtype=bool))
+    h.flat[:: n + 1] += mu
+    return h
 
 
 def _tridiagonalize(dense: np.ndarray):
@@ -211,9 +267,7 @@ def synthesize(params: SimulationParams) -> SymmetricTridiagonal:
     amps = riemann_amplitudes(params)
     if params.n_levels == 1:
         return SymmetricTridiagonal(spectrum.energies.copy(), np.empty(0))
-    basis = orthogonal_completion(amps)
-    dense = similarity_transform(spectrum, basis)
-    _, d, e, _ = _tridiagonalize(dense)
+    _, d, e, _ = _tridiagonalize(_conjugated_seed(spectrum, amps))
     fixed, _ = gauge_fix(SymmetricTridiagonal(d, e))
     if fixed.offdiagonal.size and fixed.offdiagonal.min() < _BREAKDOWN_TOL:
         k = int(np.argmin(fixed.offdiagonal))

@@ -49,11 +49,12 @@ class SynthesisReport:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so the first component above 1e-12 of the column max is positive."""
+    """Flip eigenvector signs in place so the first component above 1e-12 of the column max is positive."""
     mags = np.abs(vectors)
     lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
     flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
-    return np.where(flip, -vectors, vectors)
+    vectors *= np.where(flip, -1.0, 1.0)
+    return vectors
 
 
 def eigh_tridiagonal(tri: SymmetricTridiagonal) -> EigenDecomposition:

@@ -312,7 +312,7 @@ def test_oversized_chain_exits_2_naming_largest_n(command, monkeypatch, capsys):
     assert main([command, "--n", "1000000"]) == 2
     diag = one_json_line(capsys, 2)
     assert diag["error"] == "ValidationError"
-    assert "largest feasible N is 181" in diag["message"]
+    assert "largest feasible N is 209" in diag["message"]
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

@@ -230,6 +230,35 @@ def test_similarity_dimension_mismatch():
         similarity_transform(log_spectrum(SimulationParams(3, 1.0, 2.0)), np.eye(4))
 
 
+def _assert_seed_matches_similarity_route(energies, amplitudes):
+    # measured worst gap 2.9e-16 * N (N = 2, a = 0.05, sigma = 2; 1.7e-14 at N = 1000)
+    # on the Riemann grid and 1.9e-16 * N on the completion cases; bound 10x that
+    seed = synthesis._conjugated_seed(energies, amplitudes)
+    reference = similarity_transform(energies, orthogonal_completion(amplitudes))
+    np.testing.assert_allclose(seed, reference, rtol=0, atol=3e-15 * amplitudes.size)
+    np.testing.assert_array_equal(seed, seed.T)
+
+
+@pytest.mark.parametrize("energies", ["ascending", "normal"])
+@pytest.mark.parametrize("name", sorted(COMPLETION_CASES))
+def test_seed_matches_similarity_route_on_completion_cases(name, energies):
+    c = COMPLETION_CASES[name]
+    n = c.size
+    if energies == "ascending":
+        e = np.log(np.arange(n) + 0.5)
+    else:
+        e = np.random.default_rng(n).standard_normal(n)
+    _assert_seed_matches_similarity_route(e, c)
+
+
+@pytest.mark.parametrize("sigma", [1.05, 2.0, 5.0, 20.0, 40.0])
+@pytest.mark.parametrize("a", [0.05, 0.5, 1.0])
+@pytest.mark.parametrize("n", [2, 5, 64, 200, 1000])
+def test_seed_matches_similarity_route_on_riemann_grid(n, a, sigma):
+    p = SimulationParams(n, a, sigma)
+    _assert_seed_matches_similarity_route(log_spectrum(p).energies, riemann_amplitudes(p).amplitudes)
+
+
 def test_householder_matches_golden_reflectors():
     tri, q, vs = householder_tridiagonalize(GOLDEN_HP)
     assert len(vs) == 3
@@ -301,7 +330,7 @@ def test_householder_matches_loop_reference(name):
 
 @pytest.mark.parametrize("p", [GOLDEN_PARAMS, SimulationParams(9, 0.3, 1.7), SimulationParams(120, 0.5, 2.0)])
 def test_synthesize_is_bit_identical_to_householder_route(p):
-    dense = similarity_transform(log_spectrum(p), orthogonal_completion(riemann_amplitudes(p)))
+    dense = synthesis._conjugated_seed(log_spectrum(p), riemann_amplitudes(p))
     tri, _, _ = householder_tridiagonalize(dense)
     _, d, e, _ = synthesis._tridiagonalize(dense)
     np.testing.assert_array_equal(d, tri.diagonal)
@@ -312,11 +341,11 @@ def test_synthesize_is_bit_identical_to_householder_route(p):
 
 
 def test_size_guard_names_largest_feasible_n(monkeypatch):
-    # 4 dense N x N float64 arrays: 1 MiB of memory holds N = 181, not 182
+    # 3 dense N x N float64 arrays: 1 MiB of memory holds N = 209, not 210
     monkeypatch.setattr(synthesis, "_physical_memory", lambda: 2**20)
-    synthesize(SimulationParams(181, 0.5, 2.0))
-    with pytest.raises(ValidationError, match="largest feasible N is 181"):
-        synthesize(SimulationParams(182, 0.5, 2.0))
+    synthesize(SimulationParams(209, 0.5, 2.0))
+    with pytest.raises(ValidationError, match="largest feasible N is 209"):
+        synthesize(SimulationParams(210, 0.5, 2.0))
 
 
 def test_size_guard_runs_before_any_allocation(monkeypatch):
