@@ -39,7 +39,7 @@ _GS_SKIP_TOL = 1e-10
 _BREAKDOWN_TOL = 1e-12
 
 # N x N float64 arrays alive at once at the peak of synthesize + verify_synthesis
-# (traced: 2.14 at N = 1500, also the peak of evolve_spectral and evolve_ode)
+# (traced at N = 1500: 2.14; evolve_spectral 2.13, evolve_ode 2.12)
 _DENSE_ARRAYS = 3
 
 
@@ -153,7 +153,7 @@ def _conjugated_seed(energies, amplitudes) -> np.ndarray:
     and D_l = sum_{j >= l} (E'_{j+1} - E'_j) r_{j+1}**2.  beta overflows and D
     underflows once a tail falls below ~1e-154, so each entry K <= L is taken
     as v_K v_L G_L s_L / s_K with v = (-1, C'_0 / r_0, ..., C'_{N-2} / r_{N-2}),
-    s = (1, r_1, ..., r_{N-1}) and G_L = D'_L / s_L**2 <= max E' - min E',
+    s = (1, r_1, ..., r_{N-1}) and G_L = D'_L / s_L**2, |G_L| <= max E' - min E',
     whose recurrence G_L = (E'_L - mu_L) + (s_{L+1} / s_L)**2 G_{L+1} has no
     factor beyond the double range.
     """
