@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from zetachain import synthesis
 from zetachain import (
     SimulationParams,
     StepTooLarge,
@@ -241,7 +242,7 @@ def test_ode_matches_reference_loop_when_hamiltonian_powers_overflow():
 
 
 def test_ode_memory_within_the_dense_budget():
-    # synthesize admits an N whose 4 float64 N x N arrays fit in memory
+    # synthesize admits an N whose _DENSE_ARRAYS float64 N x N arrays fit in memory
     n = 500
     tri = synthesize(SimulationParams(n, 0.5, 2.0))
     tracemalloc.start()
@@ -250,4 +251,4 @@ def test_ode_memory_within_the_dense_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 8 * n * n
+    assert peak <= synthesis._DENSE_ARRAYS * 8 * n * n

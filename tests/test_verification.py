@@ -151,7 +151,8 @@ def test_fix_signs_matches_loop_reference(seed):
     vectors = rng.standard_normal((7, 7))
     vectors[: seed + 1, seed] *= 1e-14  # leading components below the threshold
     vectors[:, 6 - seed] = 0.0
-    np.testing.assert_array_equal(_fix_signs(vectors), _loop_fix_signs(vectors))
+    expected = _loop_fix_signs(vectors)  # before _fix_signs flips vectors in place
+    np.testing.assert_array_equal(_fix_signs(vectors), expected)
 
 
 def test_fix_signs_leaves_zero_column_alone():
