@@ -42,7 +42,6 @@ from .evolution import (
     TimeGrid,
     evolve_ode,
     evolve_spectral,
-    zeta_estimate,
 )
 from .synthesis import (
     SymmetricTridiagonal,

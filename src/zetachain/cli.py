@@ -26,7 +26,7 @@ from .design import (
     waveguide_layout,
 )
 from .errors import InfeasibleDesign, NumericalBreakdown, OutOfDomain, ValidationError, ZetachainError
-from .evolution import DEFAULT_STEP, TimeGrid, evolve_ode, evolve_spectral, zeta_estimate
+from .evolution import DEFAULT_STEP, TimeGrid, evolve_ode, evolve_spectral
 from .synthesis import SymmetricTridiagonal, synthesize
 from .verification import DEFAULT_TOL_OVERLAP, verify_synthesis
 from .zetaref import DEFAULT_N_CAP, accessible_domain, hurwitz_zeta
@@ -129,8 +129,8 @@ def cmd_simulate(args) -> int:
         series = evolve_spectral(h, grid)
     z_sigma = hurwitz_zeta(params.sigma, params.a)
     rows = []
-    for t, (s, amp) in zip(series.times, zeta_estimate(series, params)):
-        ref = hurwitz_zeta(s, params.a) / z_sigma
+    for t, amp in zip(series.times, series.amplitudes):
+        ref = hurwitz_zeta(params.sigma + 1j * params.omega * t, params.a) / z_sigma
         values = (t, amp.real, amp.imag, abs(amp), ref.real, ref.imag, abs(amp - ref))
         rows.append([_fmt(v) for v in values])
     if args.format == "json":
@@ -265,6 +265,9 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             return args.func(args)
+    except MemoryError as exc:  # e.g. numpy refusing an oversized --points grid
+        _diagnostic(ValidationError(str(exc)), 2)
+        return 2
     except ZetachainError as exc:
         for family, code in _EXIT_CODES:
             if isinstance(exc, family):

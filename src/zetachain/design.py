@@ -64,8 +64,8 @@ class FabricationConstants:
 
     def __post_init__(self):
         for name in ("kappa", "alpha", "bend_radius", "lambda_bar", "n_substrate"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

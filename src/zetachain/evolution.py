@@ -3,7 +3,8 @@
 Two independent routes: spectral resolution (exact up to eigensolver
 accuracy) and fixed-step 4th-order integration of the Schrodinger
 equation.  Under omega*H, the synthesized chain scaled by omega, the
-autocorrelation at time t is the normalized truncated sum at s = sigma + i*omega*t.
+autocorrelation at time t is the normalized truncated sum at s = sigma + i*omega*t;
+the CLI's simulate command pairs it with the zeta oracle there.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SimulationParams
 from .errors import StepTooLarge, ValidationError
 from .synthesis import SymmetricTridiagonal
 from .verification import eigh_tridiagonal
-from .zetaref import dirichlet_truncated
 
 __all__ = [
     "TimeGrid",
@@ -25,13 +24,15 @@ __all__ = [
     "StateTrajectory",
     "evolve_spectral",
     "evolve_ode",
-    "zeta_estimate",
 ]
 
 DEFAULT_STEP = 1e-3
 
 # RK4 sub-steps between checks that the state is still finite
 _FINITE_CHECK_EVERY = 256
+
+# evolve_ode refuses a window that needs more RK4 sub-steps than this, in total
+_RK4_MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,10 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class AutocorrelationSeries:
-    """Sampled autocorrelation a(t) = <0|psi(t)> with its method tag."""
+    """Sampled autocorrelation a(t) = <0|psi(t)>."""
 
     times: np.ndarray = field(repr=False)
     amplitudes: np.ndarray = field(repr=False)
-    method: str = "spectral"
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -109,7 +109,7 @@ def evolve_spectral(tri: SymmetricTridiagonal, grid: TimeGrid) -> Autocorrelatio
     weights = dec.eigenvectors[0, :] ** 2
     t = grid.times()
     amps = np.exp(-1j * np.outer(t, dec.eigenvalues)) @ weights
-    return AutocorrelationSeries(t, _clip_unit(amps), "spectral")
+    return AutocorrelationSeries(t, _clip_unit(amps))
 
 
 def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_STEP):
@@ -123,13 +123,23 @@ def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_
     I + D(h), keeps the round-off per sub-step at the size of the increment.
 
     Returns the sampled state trajectory and the autocorrelation c_0(t).
-    Raises StepTooLarge when the norm drifts by more than 1e-6 at a sample
-    time, or as soon as the state overflows to a non-finite value (checked
-    every few hundred sub-steps).
+    Raises ValidationError, before any stepping, when the window needs more
+    than _RK4_MAX_STEPS sub-steps in total.  Raises StepTooLarge when the
+    norm drifts by more than 1e-6 at a sample time, or as soon as the state
+    overflows to a non-finite value (checked every few hundred sub-steps).
     """
     if not step > 0.0:
         raise ValidationError(f"step must be positive, got {step}")
     t_samples = grid.times()
+    # sub-steps per sample interval, counted before any stepping; a zero span takes none
+    spans = np.diff(t_samples, prepend=0.0)
+    with np.errstate(over="ignore"):  # a subnormal step overflows the count to inf, which is refused
+        n_subs = np.maximum(np.ceil(np.abs(spans) / step - 1e-12), 1.0)
+    n_total = n_subs[spans != 0.0].sum()
+    if not n_total <= _RK4_MAX_STEPS:
+        raise ValidationError(
+            f"step {step:.3e} needs {n_total:.3e} RK4 sub-steps over the window (limit {_RK4_MAX_STEPS:.0e})"
+        )
     n = tri.order
     # H / rho with rho a power of two: an exact scaling that keeps (H / rho)^k finite
     entry_max = max(np.abs(tri.diagonal).max(), np.abs(tri.offdiagonal).max(initial=0.0))
@@ -155,10 +165,8 @@ def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_
     bands = np.array(bands)
     increment = np.zeros((n, n), dtype=complex)
 
-    def rk4_advance(c, t0, t1):
-        span = t1 - t0
-        n_sub = max(int(np.ceil(abs(span) / step - 1e-12)), 1)
-        h = span / n_sub
+    def rk4_advance(c, t0, t1, n_sub):
+        h = (t1 - t0) / n_sub
         z = -1j * h * rho
         increment[rows, cols] = np.cumprod([z, z / 2.0, z / 3.0, z / 4.0]) @ bands
         for i in range(1, n_sub + 1):
@@ -173,29 +181,11 @@ def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_
     t_prev = 0.0
     for i, t in enumerate(t_samples):
         if t != t_prev:
-            c = rk4_advance(c, t_prev, t)
+            c = rk4_advance(c, t_prev, t, int(n_subs[i]))
             t_prev = t
         states[i] = c
         drift = abs(np.linalg.norm(c) - 1.0)
         if not drift <= 1e-6:  # an overflowed, NaN state fails too
             raise StepTooLarge(f"norm drift {drift:.3e} at t = {t}; reduce the step")
     amps = _clip_unit(states[:, 0].copy())
-    return StateTrajectory(t_samples, states), AutocorrelationSeries(t_samples, amps, "ode")
-
-
-def zeta_estimate(series: AutocorrelationSeries, params: SimulationParams, normalized: bool = True):
-    """Map the autocorrelation onto zeta estimates along s = sigma + i*omega*t.
-
-    The series must come from evolving omega*H, the synthesized chain
-    scaled by params.omega.  Normalized mode returns a(t) itself (the
-    truncated sum at s divided by its t = 0 value); unnormalized mode
-    rescales by the truncated sum at sigma, yielding the truncated
-    Dirichlet value of zeta(s, a).
-    """
-    s_values = params.sigma + 1j * params.omega * series.times
-    if normalized:
-        values = series.amplitudes.copy()
-    else:
-        scale = dirichlet_truncated(params.sigma, params.a, params.n_levels).real
-        values = series.amplitudes * scale
-    return list(zip(s_values, values))
+    return StateTrajectory(t_samples, states), AutocorrelationSeries(t_samples, amps)

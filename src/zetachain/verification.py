@@ -1,7 +1,8 @@
 """Tridiagonal eigensolver and post-synthesis fidelity checks.
 
 Ties a synthesized Hamiltonian back to its two defining properties:
-eigenvalues ln(n+a) and ground-site eigenvector components C_n.
+eigenvalues ln(n+a) and ground-site eigenvector components of magnitude
+C_n.  Eigenvector signs are left as LAPACK returns them.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ DEFAULT_TOL_OVERLAP = 1e-9
 class EigenDecomposition:
     """Ascending eigenvalues and orthonormal eigenvectors (columns).
 
-    Sign convention: the first component of nonnegligible magnitude of
-    each eigenvector is positive.
+    Each column is defined only up to sign: the chain's eigendata enter
+    only as eigenvalues and squared (or absolute) first components.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
@@ -38,23 +39,13 @@ class SynthesisReport:
 
     max_eigenvalue_error: float
     max_overlap_error: float
-    eigenvalues_ok: bool
-    overlaps_ok: bool
     tol_lambda: float
     tol_overlap: float
 
     @property
     def passed(self) -> bool:
-        return self.eigenvalues_ok and self.overlaps_ok
-
-
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs in place so the first component above 1e-12 of the column max is positive."""
-    mags = np.abs(vectors)
-    lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
-    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
-    vectors *= np.where(flip, -1.0, 1.0)
-    return vectors
+        # strict comparisons, so a NaN error fails
+        return self.max_eigenvalue_error < self.tol_lambda and self.max_overlap_error < self.tol_overlap
 
 
 def eigh_tridiagonal(tri: SymmetricTridiagonal) -> EigenDecomposition:
@@ -71,7 +62,7 @@ def eigh_tridiagonal(tri: SymmetricTridiagonal) -> EigenDecomposition:
         lam, vec = scipy.linalg.eigh_tridiagonal(tri.diagonal, tri.offdiagonal)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise ConvergenceFailure(str(exc)) from exc
-    return EigenDecomposition(lam, _fix_signs(vec))
+    return EigenDecomposition(lam, vec)
 
 
 def verify_synthesis(
@@ -97,8 +88,6 @@ def verify_synthesis(
     return SynthesisReport(
         max_eigenvalue_error=err_lambda,
         max_overlap_error=err_overlap,
-        eigenvalues_ok=err_lambda < tol_lambda,
-        overlaps_ok=err_overlap < tol_overlap,
         tol_lambda=tol_lambda,
         tol_overlap=tol_overlap,
     )

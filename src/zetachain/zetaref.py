@@ -126,6 +126,8 @@ def n_min(sigma: float) -> float:
     """Minimum truncation order (sigma-1)**(-1/(sigma-1)) for small error."""
     if not sigma > 1.0:
         raise ValidationError(f"sigma must exceed 1, got {sigma}")
+    if sigma == math.inf:  # the formula's limit 1 would pass an infinite sigma as feasible
+        raise ValidationError(f"sigma must be finite, got {sigma}")
     try:
         return float((sigma - 1.0) ** (-1.0 / (sigma - 1.0)))
     except OverflowError:  # diverges as sigma -> 1+
@@ -151,7 +153,6 @@ class DomainPoint:
     sigma: float
     n_min: float
     feasible: bool
-    t_min: float
     t_max: float  # inf when no coherence cutoff applies
 
 
@@ -163,6 +164,8 @@ def accessible_domain(sigma_grid, t_coh: float = None, n_cap: int = DEFAULT_N_CA
     """
     if t_coh is not None and not t_coh > 0.0:
         raise ValidationError(f"t_coh must be positive, got {t_coh}")
+    if not n_cap >= 1:
+        raise ValidationError(f"n_cap must be at least 1, got {n_cap}")
     t_max = float("inf") if t_coh is None else float(t_coh)
     points = []
     for sigma in np.asarray(sigma_grid, dtype=float):
@@ -173,7 +176,6 @@ def accessible_domain(sigma_grid, t_coh: float = None, n_cap: int = DEFAULT_N_CA
                 sigma=float(sigma),
                 n_min=nm if feasible else float(n_cap),
                 feasible=bool(feasible),
-                t_min=0.0,
                 t_max=t_max,
             )
         )

@@ -9,6 +9,7 @@ import pytest
 
 import zetachain
 from zetachain import dirichlet_truncated, hurwitz_zeta, synthesis, tail_bound
+from zetachain import cli
 from zetachain.cli import main
 
 GOLDEN_DIAG = [-0.479, 0.701, 0.894, 1.062, 1.208]
@@ -246,11 +247,49 @@ def test_help_still_exits_0(capsys):
         ["verify", "--sigma", "inf"],
         ["design", "--omega", "nan"],
         ["simulate", "--omega", "1.7e308", "--points", "3"],
+        # non-finite fabrication constants, an infinite sigma, a cap below one site
+        ["design", "--n", "3", "--ns", "inf"],
+        ["design", "--n", "3", "--kappa", "inf"],
+        ["design", "--n", "3", "--radius", "inf"],
+        ["design", "--n", "3", "--lambda", "inf"],
+        ["domain", "--sigmas", "inf"],
+        ["domain", "--n-cap", "-3"],
     ],
 )
 def test_non_finite_input_exits_2_with_one_json_line(argv, capsys):
     assert main(argv) == 2
     assert one_json_line(capsys, 2)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1 / 1e-320 overflows the sub-step count to inf
+        ["simulate", "--n", "3", "--t-end", "1", "--points", "3", "--method", "ode", "--step", "1e-320"],
+        # 1e300 sub-steps: refused before the first one
+        ["simulate", "--n", "3", "--t-end", "1", "--points", "3", "--method", "ode", "--step", "1e-300"],
+        ["simulate", "--n", "3", "--t-end", "1e300", "--points", "3", "--method", "ode"],
+    ],
+)
+def test_rk4_step_count_limit_exits_2_before_stepping(argv, capsys):
+    assert main(argv) == 2
+    diag = one_json_line(capsys, 2)
+    assert diag["error"] == "ValidationError"
+    assert "RK4 sub-steps" in diag["message"]
+
+
+def test_memory_error_exits_2_with_one_json_line(monkeypatch, capsys):
+    # stands in for numpy refusing `--points 100000000000`, without allocating anything
+    message = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "evolve_spectral", refuse)
+    assert main(["simulate", "--n", "3", "--points", "3"]) == 2
+    diag = one_json_line(capsys, 2)
+    assert diag["error"] == "ValidationError"
+    assert diag["message"] == message
 
 
 def test_oracle_term_limit_exits_4(capsys):

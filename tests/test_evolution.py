@@ -4,18 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zetachain import synthesis
+from zetachain import evolution, synthesis
 from zetachain import (
     SimulationParams,
     StepTooLarge,
     SymmetricTridiagonal,
     TimeGrid,
     ValidationError,
-    dirichlet_truncated,
     evolve_ode,
     evolve_spectral,
     synthesize,
-    zeta_estimate,
 )
 
 GOLDEN_PARAMS = SimulationParams(5, 0.5, 2.0)
@@ -177,37 +175,12 @@ def test_ode_rejects_bad_step():
         evolve_ode(synthesize(GOLDEN_PARAMS), TimeGrid(0.0, 1.0, 3), 0.0)
 
 
-def test_zeta_estimate_normalized_at_zero():
-    series = evolve_spectral(synthesize(GOLDEN_PARAMS), TimeGrid(0.0, 1.0, 3))
-    pairs = zeta_estimate(series, GOLDEN_PARAMS, normalized=True)
-    s0, v0 = pairs[0]
-    assert s0 == 2.0 + 0.0j
-    assert abs(v0 - 1.0) < 1e-12
-
-
-def test_zeta_estimate_unnormalized_at_zero():
-    p = SimulationParams(5, 1.0, 2.0)
-    series = evolve_spectral(synthesize(p), TimeGrid(0.0, 1.0, 3))
-    pairs = zeta_estimate(series, p, normalized=False)
-    # finite sum 1 + 1/4 + 1/9 + 1/16 + 1/25 = 5269/3600
-    assert abs(pairs[0][1] - 5269.0 / 3600.0) < 1e-12
-
-
-def test_zeta_estimate_against_truncated_oracle():
-    p = SimulationParams(5, 1.0, 2.0)
-    series = evolve_spectral(synthesize(p), TimeGrid(0.0, 20.0, 201))
-    pairs = zeta_estimate(series, p, normalized=False)
-    for (s, value), t in zip(pairs, series.times):
-        assert abs(value - dirichlet_truncated(s, 1.0, 5)) < 1e-10
-        assert s == p.sigma + 1j * t
-
-
-def test_zeta_estimate_omega_scales_axis():
-    p = SimulationParams(5, 1.0, 2.0, omega=2.5)
-    series = evolve_spectral(synthesize(p), TimeGrid(0.0, 4.0, 5))
-    pairs = zeta_estimate(series, p)
-    s_last = pairs[-1][0]
-    assert s_last == 2.0 + 1j * 2.5 * 4.0
+def test_ode_step_count_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(evolution, "_RK4_MAX_STEPS", 1000)
+    tri = synthesize(GOLDEN_PARAMS)
+    evolve_ode(tri, TimeGrid(0.0, 1.0, 3), 1e-3)  # 500 + 500 sub-steps
+    with pytest.raises(ValidationError, match="1.002e[+]03 RK4 sub-steps"):
+        evolve_ode(tri, TimeGrid(0.0, 1.0, 3), 0.999e-3)
 
 
 # N = 9 is the probe width; step 0.5 is longer than the 0.05 spans, so each span is one sub-step

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from zetachain import (
     DimensionMismatch,
@@ -13,7 +12,6 @@ from zetachain import (
     synthesize,
     verify_synthesis,
 )
-from zetachain.verification import _fix_signs
 
 # golden chain as printed (3 decimals)
 GOLDEN_TRI = SymmetricTridiagonal(
@@ -41,8 +39,9 @@ def test_eigh_two_by_two_swap():
     dec = eigh_tridiagonal(tri)
     np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-15)
     r = 1.0 / np.sqrt(2.0)
-    np.testing.assert_allclose(dec.eigenvectors[:, 0], [r, -r], atol=1e-15)
-    np.testing.assert_allclose(dec.eigenvectors[:, 1], [r, r], atol=1e-15)
+    # each column is defined up to sign; the antisymmetric one belongs to -1
+    np.testing.assert_allclose(np.abs(dec.eigenvectors), [[r, r], [r, r]], atol=1e-15)
+    assert dec.eigenvectors[0, 0] * dec.eigenvectors[1, 0] < 0.0 < dec.eigenvectors[0, 1] * dec.eigenvectors[1, 1]
 
 
 def test_eigh_single_site():
@@ -62,8 +61,8 @@ def test_eigh_invariants_on_synthesized_chains(n, a, sigma):
     resid = np.abs(h @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues).max()
     assert resid < 1e-10 * np.abs(h).max()
     assert np.all(np.diff(dec.eigenvalues) > 0.0)
-    # all weights positive, so the sign convention pins the first row positive
-    assert np.all(dec.eigenvectors[0, :] > 0.0)
+    # all weights positive: no first component vanishes, whatever the column signs
+    assert np.all(np.abs(dec.eigenvectors[0, :]) > 0.0)
 
 
 def test_verify_synthesis_round_trip():
@@ -99,7 +98,7 @@ def test_first_eigenvector_row_equals_amplitudes():
     p = SimulationParams(5, 0.5, 2.0)
     dec = eigh_tridiagonal(synthesize(p))
     np.testing.assert_allclose(
-        dec.eigenvectors[0, :], riemann_amplitudes(p).amplitudes, atol=1e-12
+        np.abs(dec.eigenvectors[0, :]), riemann_amplitudes(p).amplitudes, atol=1e-12
     )
     np.testing.assert_allclose(dec.eigenvalues, log_spectrum(p).energies, atol=1e-12)
 
@@ -115,46 +114,3 @@ def test_gauge_invariance_of_eigendata():
         np.abs(dec_a.eigenvectors[0, :]), np.abs(dec_b.eigenvectors[0, :]), atol=1e-12
     )
 
-
-def test_fix_signs_skips_first_components_below_threshold():
-    # J_0 ~ 1e-15 nearly decouples site 0 above the rest, so three eigenvectors
-    # have a negative first component far below 1e-12 of their max; their sign
-    # must come from the first component above that threshold.
-    tri = SymmetricTridiagonal(np.array([3.0, 0.0, 1.0, 2.0]), np.array([1e-15, 0.5, 0.5]))
-    _, raw = scipy.linalg.eigh_tridiagonal(tri.diagonal, tri.offdiagonal)
-    fixed = eigh_tridiagonal(tri).eigenvectors
-    for vectors in (raw, -raw):
-        np.testing.assert_array_equal(_fix_signs(vectors), fixed)
-    mags = np.abs(fixed)
-    tiny = [j for j in range(4) if 0.0 < mags[0, j] < 1e-12 * mags[:, j].max()]
-    assert len(tiny) == 3
-    assert all(fixed[0, j] < 0.0 for j in tiny)
-    for j in range(4):
-        lead = fixed[mags[:, j] > 1e-12 * mags[:, j].max(), j][0]
-        assert lead > 0.0
-
-
-def _loop_fix_signs(vectors):
-    """Column-by-column reference for _fix_signs."""
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
-        if nz.size and col[nz[0]] < 0.0:
-            v[:, j] = -col
-    return v
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_fix_signs_matches_loop_reference(seed):
-    rng = np.random.default_rng(seed)
-    vectors = rng.standard_normal((7, 7))
-    vectors[: seed + 1, seed] *= 1e-14  # leading components below the threshold
-    vectors[:, 6 - seed] = 0.0
-    expected = _loop_fix_signs(vectors)  # before _fix_signs flips vectors in place
-    np.testing.assert_array_equal(_fix_signs(vectors), expected)
-
-
-def test_fix_signs_leaves_zero_column_alone():
-    vectors = np.array([[0.0, -0.6], [0.0, 0.8]])
-    np.testing.assert_array_equal(_fix_signs(vectors), [[0.0, 0.6], [0.0, -0.8]])
