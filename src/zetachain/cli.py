@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 
@@ -175,10 +176,15 @@ def cmd_design(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 2 with one JSON line; flags match exactly (`domain --n` is not `--n-cap`)."""
+    """Usage errors exit 2 with one JSON line; flags match exactly (`domain --n` is not `--n-cap`).
+
+    A value such as `-1e308` is a negative number, not a flag: before Python
+    3.13 argparse's own pattern misses exponent forms, so this is 3.13's.
+    """
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")

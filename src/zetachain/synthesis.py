@@ -39,7 +39,7 @@ _GS_SKIP_TOL = 1e-10
 _BREAKDOWN_TOL = 1e-12
 
 # N x N float64 arrays alive at once at the peak of synthesize + verify_synthesis
-# (traced at N = 1500: 2.14; evolve_spectral 2.13, evolve_ode 2.12)
+# (traced at N = 1500: 2.01, synthesize alone 1.03; evolve_spectral 2.01 at 3 samples, evolve_ode 2.12)
 _DENSE_ARRAYS = 3
 
 
@@ -177,13 +177,17 @@ def _conjugated_seed(energies, amplitudes) -> np.ndarray:
         h = s / s[:, None]
         h *= v[:, None]
         h *= v * g
-    np.copyto(h, h.T, where=np.tri(n, k=-1, dtype=bool))
+    for k in range(1, n):  # row by row: a whole-matrix copy from the overlapping h.T takes an N x N temporary
+        h[k, :k] = h[:k, k]
     h.flat[:: n + 1] += mu
     return h
 
 
-def _tridiagonalize(dense: np.ndarray):
-    """LAPACK dsytrd on the lower triangle: (packed reflectors, diagonal, off-diagonal, tau)."""
+def _tridiagonalize(dense: np.ndarray, overwrite: bool = False):
+    """LAPACK dsytrd on the lower triangle: (packed reflectors, diagonal, off-diagonal, tau).
+
+    With overwrite, a Fortran-ordered float array is reduced in place, without a copy.
+    """
     from scipy.linalg import lapack  # imported here so that `import zetachain` stays light
 
     a = np.asarray(dense, dtype=float)
@@ -191,7 +195,7 @@ def _tridiagonalize(dense: np.ndarray):
     if a.shape != (n, n):
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
-    packed, d, e, tau, _ = lapack.dsytrd(a, lower=1, lwork=lwork)
+    packed, d, e, tau, _ = lapack.dsytrd(a, lower=1, lwork=lwork, overwrite_a=overwrite)
     return packed, d, e, tau
 
 
@@ -267,7 +271,9 @@ def synthesize(params: SimulationParams) -> SymmetricTridiagonal:
     amps = riemann_amplitudes(params)
     if params.n_levels == 1:
         return SymmetricTridiagonal(spectrum.energies.copy(), np.empty(0))
-    _, d, e, _ = _tridiagonalize(_conjugated_seed(spectrum, amps))
+    # the seed is symmetric and ours alone: its transpose is the Fortran-ordered
+    # matrix itself, which dsytrd may overwrite
+    _, d, e, _ = _tridiagonalize(_conjugated_seed(spectrum, amps).T, overwrite=True)
     fixed, _ = gauge_fix(SymmetricTridiagonal(d, e))
     if fixed.offdiagonal.size and fixed.offdiagonal.min() < _BREAKDOWN_TOL:
         k = int(np.argmin(fixed.offdiagonal))

@@ -8,6 +8,7 @@ parameter domain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,10 +40,36 @@ _EM_MAX_TERMS = 10**7
 # default cap used when reporting the diverging N_min near sigma = 1
 DEFAULT_N_CAP = 10**6
 
+# below this Re s no product -s ln(n + a) overflows: |ln(n + a)| <= 745 in doubles
+_HEAD_SAFE_SIGMA = 1e305
+
+# ln(n + a) tables up to this length stay cached after the call; a longer one
+# (up to _EM_MAX_TERMS entries, 80 MB) is built for the call alone
+_CACHED_TERMS = 2**16
+
 
 def _check_a(a: float):
     if not (0.0 < a <= 1.0):
         raise ValidationError(f"a must lie in (0, 1], got {a}")
+
+
+@functools.lru_cache(maxsize=1)
+def _log_table(a: float, n_terms: int) -> np.ndarray:
+    """Read-only ln(n + a), n = 0..n_terms-1; along a line scan a is fixed and M rarely changes."""
+    logs = np.log(np.arange(n_terms, dtype=float) + a)
+    logs.flags.writeable = False
+    return logs
+
+
+def _head(s: complex, a: float, n_terms: int) -> complex:
+    """sum_{n < n_terms} (n + a)**(-s) as exp(-s ln(n + a)), cheaper than numpy's complex power."""
+    logs = _log_table(a, n_terms) if n_terms <= _CACHED_TERMS else _log_table.__wrapped__(a, n_terms)
+    if s.real < _HEAD_SAFE_SIGMA:  # entering np.errstate costs a fifth of a typical call
+        return complex(np.exp(-s * logs).sum())
+    # here the product -s ln(n + a) may overflow to -inf, and exp takes it to the
+    # term's correct value 0; an overflow to +inf is refused by the caller
+    with np.errstate(over="ignore"):
+        return complex(np.exp(-s * logs).sum())
 
 
 def dirichlet_truncated(s: complex, a: float, n_terms: int) -> complex:
@@ -50,8 +77,7 @@ def dirichlet_truncated(s: complex, a: float, n_terms: int) -> complex:
     _check_a(a)
     if n_terms < 1:
         raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
-    n = np.arange(n_terms, dtype=float)
-    return complex(np.sum((n + a) ** (-s)))
+    return _head(complex(s), a, n_terms)
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:
@@ -80,22 +106,23 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     target = 1e-13
     scaled = _B8_OVER_8F * prod / target
     if math.isfinite(scaled):
-        m = np.ceil(scaled ** (1.0 / (s.real + 7.0))) + 1
+        m = math.ceil(scaled ** (1.0 / (s.real + 7.0))) + 1
     else:
         # from |s| ~ 5e43 the scaled product overflows; its logarithm does not
         log_prod = sum(math.log(abs(s + j)) for j in range(7))
-        m = np.ceil(math.exp((math.log(_B8_OVER_8F / target) + log_prod) / (s.real + 7.0))) + 1
+        m = math.ceil(math.exp((math.log(_B8_OVER_8F / target) + log_prod) / (s.real + 7.0))) + 1
     if not m <= _EM_MAX_TERMS:
         raise OutOfDomain(f"|s| = {abs(s):.3e} needs {m:.3e} Euler-Maclaurin terms (limit {_EM_MAX_TERMS:.0e})")
-    m = max(int(m), 16)
+    m = max(m, 16)
 
-    head = dirichlet_truncated(s, a, m)
+    head = _head(s, a, m)
     x = m + a
     try:
-        tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
-        factor = s * x ** (-s - 1.0)
+        x_s = x ** (-s)  # x**(1-s) and x**(-s-1) follow as x * x_s and x_s / x
     except (OverflowError, ZeroDivisionError):  # Python's complex power: modulus or phase out of range
         raise OutOfDomain(f"s = {s} is out of double range") from None
+    tail = x * x_s / (s - 1.0) + 0.5 * x_s
+    factor = s * x_s / x
     # once x**(-s-1) underflows to 0 the corrections vanish; skipping them keeps an
     # overflowing (s+1)(s+2) (Re s > ~1e154) from turning 0 * inf into nan
     if factor:

@@ -261,6 +261,28 @@ def test_non_finite_input_exits_2_with_one_json_line(argv, capsys):
     assert one_json_line(capsys, 2)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("method", ["spectral", "ode"])
+def test_overflowing_window_length_exits_2_naming_it(method, capsys):
+    # used to exit 2 blaming s = nan + nan j, or nan RK4 sub-steps
+    assert main(["simulate", "--t-start", "-1e308", "--t-end", "1e308", "--points", "3", "--method", method]) == 2
+    diag = one_json_line(capsys, 2)
+    assert diag["error"] == "ValidationError"
+    assert "window length t_end - t_start overflows" in diag["message"]
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--t-start", "-1e308"), ("--t-start", "-1e1"), ("--omega", "-1e-3"), ("--t-end", "-2.5E+1"), ("--sigma", "-.5e1")],
+)
+def test_negative_value_in_exponent_form_reads_as_with_equals(flag, value, capsys):
+    base = ["simulate", "--n", "3", "--points", "3"]
+    code = main(base + [f"{flag}={value}"])
+    with_equals = capsys.readouterr()
+    assert main(base + [flag, value]) == code
+    assert capsys.readouterr() == with_equals
+    assert "expected one argument" not in with_equals.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -63,6 +63,13 @@ def test_time_grid_validation():
             TimeGrid(t_start, t_end, 10)
 
 
+def test_time_grid_rejects_a_window_length_beyond_double_range():
+    # both ends are finite, their distance is not: linspace would make NaN sample times
+    with pytest.raises(ValidationError, match="window length"):
+        TimeGrid(-1e308, 1e308, 3)
+    assert np.isfinite(TimeGrid(-1e308, 7e307, 3).times()).all()
+
+
 def test_time_grid_coherence_cutoff():
     grid = TimeGrid(0.0, 10.0, 11, t_coh=4.5)
     full = TimeGrid(0.0, 10.0, 11)

@@ -299,6 +299,29 @@ def _symmetric(n, seed):
     return 0.5 * (m + m.T)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_householder_leaves_the_callers_matrix_untouched(order):
+    # a Fortran-ordered float array is what dsytrd could reduce in place
+    m = np.array(_symmetric(6, 5), order=order)
+    before = m.copy()
+    householder_tridiagonalize(m)
+    np.testing.assert_array_equal(m, before)
+
+
+def test_synthesize_memory_is_one_dense_array():
+    # the seed is mirrored row by row and reduced in place; a peak of 2.14 N x N
+    # (a mirror temporary and dsytrd's Fortran copy) read 1.04 at N = 1000
+    p = SimulationParams(1000, 0.5, 2.0)
+    synthesize(SimulationParams(5, 0.5, 2.0))  # imports and LAPACK workspace queries outside the trace
+    tracemalloc.start()
+    try:
+        synthesize(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * p.n_levels**2
+
+
 HOUSEHOLDER_CASES = {
     "golden_hp": GOLDEN_HP,
     "random_8": _symmetric(8, 3),
@@ -328,7 +351,10 @@ def test_householder_matches_loop_reference(name):
             np.testing.assert_allclose(np.copysign(1.0, v @ ref) * v, ref, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("p", [GOLDEN_PARAMS, SimulationParams(9, 0.3, 1.7), SimulationParams(120, 0.5, 2.0)])
+# N = 1000 is past dsytrd's crossover to blocked reduction, where synthesize reduces in place
+@pytest.mark.parametrize(
+    "p", [GOLDEN_PARAMS, SimulationParams(9, 0.3, 1.7), SimulationParams(120, 0.5, 2.0), SimulationParams(1000, 0.5, 2.0)]
+)
 def test_synthesize_is_bit_identical_to_householder_route(p):
     dense = synthesis._conjugated_seed(log_spectrum(p), riemann_amplitudes(p))
     tri, _, _ = householder_tridiagonalize(dense)

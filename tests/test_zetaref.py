@@ -14,6 +14,7 @@ from zetachain import (
     tail_bound,
     truncation_error_estimate,
 )
+from zetachain import zetaref
 from zetachain.zetaref import _EM_MAX_TERMS
 
 
@@ -55,6 +56,52 @@ def test_hurwitz_against_mpmath(sigma, t, a):
     assert abs(ours - ref) < 1e-12 * abs(ref)
 
 
+# the zeta_scan benchmark's region: a in [0.05, 1], sigma in [1.05, 5], t in [0, 50]
+@pytest.mark.parametrize("sigma", [1.05, 2.5, 5.0])
+@pytest.mark.parametrize("t", [0.0, 25.0, 50.0])
+@pytest.mark.parametrize("a", [0.05, 0.3, 1.0])
+def test_hurwitz_against_mpmath_on_the_line_scan(sigma, t, a):
+    s = sigma + 1j * t
+    ours = hurwitz_zeta(s, a)
+    ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), a))
+    assert abs(ours - ref) < 1e-12 * abs(ref)
+
+
+def test_line_scan_grid_reaches_the_largest_cutoff(monkeypatch):
+    # s = 1.05 + 50i, the region's corner, takes M = 219 explicit terms: no draw
+    # of the scan needs more (they reach M ~ 215)
+    terms = []
+    head = zetaref._head
+    monkeypatch.setattr(zetaref, "_head", lambda s, a, m: terms.append(m) or head(s, a, m))
+    hurwitz_zeta(1.05 + 50j, 0.05)
+    assert terms == [219]
+
+
+def test_hurwitz_is_bit_identical_whatever_the_call_order():
+    # the ln(n + a) table is cached per (a, M); no order of calls may leak into a value
+    calls = [(2.5 + 25j, 0.3), (1.05 + 50j, 0.05), (5.0, 1.0), (2.5 + 25j, 0.05), (1.05 + 50j, 0.3), (5.0, 1.0)]
+    zetaref._log_table.cache_clear()
+    first = [hurwitz_zeta(s, a) for s, a in calls]
+    for order in (calls[::-1], calls[1::2] + calls[::2]):
+        zetaref._log_table.cache_clear()
+        again = {(s, a): hurwitz_zeta(s, a) for s, a in order}
+        assert [again[call] for call in calls] == first
+    assert first[2] == first[5]
+
+
+def test_cached_log_table_is_read_only():
+    table = zetaref._log_table(0.3, 20)
+    assert zetaref._log_table(0.3, 20) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0.0
+
+
+def test_long_log_tables_are_not_kept():
+    zetaref._log_table.cache_clear()
+    dirichlet_truncated(2.0, 0.5, zetaref._CACHED_TERMS + 1)
+    assert zetaref._log_table.cache_info().currsize == 0
+
+
 def test_hurwitz_out_of_domain():
     with pytest.raises(OutOfDomain):
         hurwitz_zeta(1.0, 1.0)
@@ -86,6 +133,13 @@ def test_hurwitz_cutoff_from_logarithms_still_evaluates():
 def test_hurwitz_at_a_1_where_the_bernoulli_factor_overflows(s):
     # zeta(s, 1) = 1 + 2**(-s) + ... is 1 in double precision; (s+1)(s+2) overflows
     # from s ~ 1.3e154 while the correction factor s * x**(-s-1) has underflowed to 0
+    assert hurwitz_zeta(s, 1.0) == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e300, 1e308])
+def test_hurwitz_at_a_1_and_huge_s_evaluates_without_a_warning(s):
+    # -s ln(n + a) overflows to -inf from n = 2 at s = 1e308; exp makes it the exact 0
     assert hurwitz_zeta(s, 1.0) == 1.0
 
 
