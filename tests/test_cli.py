@@ -263,7 +263,8 @@ def test_non_finite_input_exits_2_with_one_json_line(argv, capsys):
 
 @pytest.mark.parametrize("method", ["spectral", "ode"])
 def test_overflowing_window_length_exits_2_naming_it(method, capsys):
-    # used to exit 2 blaming s = nan + nan j, or nan RK4 sub-steps
+    # finite ends whose distance overflows: linspace would give NaN sample times, and the
+    # diagnostic would blame a NaN s or a NaN sub-step count instead of the window
     assert main(["simulate", "--t-start", "-1e308", "--t-end", "1e308", "--points", "3", "--method", method]) == 2
     diag = one_json_line(capsys, 2)
     assert diag["error"] == "ValidationError"

@@ -309,8 +309,8 @@ def test_householder_leaves_the_callers_matrix_untouched(order):
 
 
 def test_synthesize_memory_is_one_dense_array():
-    # the seed is mirrored row by row and reduced in place; a peak of 2.14 N x N
-    # (a mirror temporary and dsytrd's Fortran copy) read 1.04 at N = 1000
+    # the seed is mirrored without a temporary of h.T and dsytrd reduces it in place,
+    # without a Fortran-ordered copy; measured 1.04 N x N at N = 1000
     p = SimulationParams(1000, 0.5, 2.0)
     synthesize(SimulationParams(5, 0.5, 2.0))  # imports and LAPACK workspace queries outside the trace
     tracemalloc.start()
