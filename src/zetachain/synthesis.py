@@ -1,10 +1,10 @@
 """Synthesis of the tridiagonal Hamiltonian with prescribed spectrum and overlaps.
 
-Pipeline: diagonal seed -> orthogonal completion of the amplitude vector
--> similarity transform -> Householder tridiagonalization (LAPACK
-dsytrd) -> gauge fix.  synthesize() writes the conjugated seed T^T diag(E) T
-in closed form in O(N**2), without forming the basis T; the stepwise
-public functions remain as the reference route.
+Reference pipeline: diagonal seed -> orthogonal completion of the
+amplitude vector -> similarity transform -> Householder
+tridiagonalization (LAPACK dsytrd) -> gauge fix.  synthesize() skips the
+basis: dsytrd reduces the bordered matrix [[0, C^T], [C, diag(E)]]
+directly, and the stepwise public functions remain as the reference route.
 An independent cross-oracle builds the same Jacobi matrix straight from
 the nodes E_n and weights C_n**2 by Givens chasing (the discrete measure
 has a unique tridiagonal representation with positive off-diagonals).
@@ -39,7 +39,8 @@ _GS_SKIP_TOL = 1e-10
 _BREAKDOWN_TOL = 1e-12
 
 # N x N float64 arrays alive at once at the peak of synthesize + verify_synthesis
-# (traced at N = 1500: 2.01, synthesize alone 1.03; evolve_spectral 2.01 at 3 samples, evolve_ode 2.12)
+# (traced at N = 1500: 2.01, synthesize alone 1.03, its (N+1) x (N+1) bordered matrix;
+# evolve_spectral 2.01 at 3 samples, evolve_ode 2.12)
 _DENSE_ARRAYS = 3
 
 
@@ -140,49 +141,6 @@ def similarity_transform(spectrum, basis: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-def _conjugated_seed(energies, amplitudes) -> np.ndarray:
-    """T^T diag(E) T for T = orthogonal_completion(C), written in O(N**2) without T.
-
-    In the completion order, with E' = E[order], C' = C[order] and tails r_k,
-    T^T diag(E) T is diagonal plus semiseparable:
-
-        entry (K, L) = delta_KL mu_K + b_K b_L D'_max(K, L),
-
-    b = (-1, beta_0, ..., beta_{N-2}) with beta_k = C'_k / (r_k r_{k+1}),
-    mu = (E'_0, E'_0, E'_1, ..., E'_{N-2}), D' = (D_0, D_0, D_1, ..., D_{N-2})
-    and D_l = sum_{j >= l} (E'_{j+1} - E'_j) r_{j+1}**2.  beta overflows and D
-    underflows once a tail falls below ~1e-154, so each entry K <= L is taken
-    as v_K v_L G_L s_L / s_K with v = (-1, C'_0 / r_0, ..., C'_{N-2} / r_{N-2}),
-    s = (1, r_1, ..., r_{N-1}) and G_L = D'_L / s_L**2, |G_L| <= max E' - min E',
-    whose recurrence G_L = (E'_L - mu_L) + (s_{L+1} / s_L)**2 G_{L+1} has no
-    factor beyond the double range.
-    """
-    e = _unwrap(energies, "energies")
-    c = _unwrap(amplitudes, "amplitudes")
-    n = c.size
-    order, cp, r = _completion_order(c)
-    lam = e[order]
-    mu = np.r_[lam[0], lam[:-1]]
-    s = np.r_[1.0, r[1:]]
-    v = np.r_[-1.0, cp[:-1] / r[:-1]]
-    rise, decay = (lam - mu).tolist(), ((s[1:] / s[:-1]) ** 2).tolist() + [0.0]
-    g = np.empty(n)
-    acc = 0.0
-    for k in range(n - 1, -1, -1):
-        acc = rise[k] + decay[k] * acc
-        g[k] = acc
-    # s_L / s_K <= 1 on and above the diagonal; below it the ratio can overflow,
-    # and the mirror overwrites that triangle
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = s / s[:, None]
-        h *= v[:, None]
-        h *= v * g
-    for k in range(1, n):  # row by row: a whole-matrix copy from the overlapping h.T takes an N x N temporary
-        h[k, :k] = h[:k, k]
-    h.flat[:: n + 1] += mu
-    return h
-
-
 def _tridiagonalize(dense: np.ndarray, overwrite: bool = False):
     """LAPACK dsytrd on the lower triangle: (packed reflectors, diagonal, off-diagonal, tau).
 
@@ -264,17 +222,23 @@ def synthesize(params: SimulationParams) -> SymmetricTridiagonal:
     """Build the gauge-fixed tridiagonal Hamiltonian for the given parameters.
 
     The result has eigenvalues ln(n+a) and ground-site eigenvector
-    components C_n = N (n+a)**(-sigma/2).
+    components C_n = N (n+a)**(-sigma/2).  It is the Jacobi matrix of the
+    measure with nodes E_n and weights C_n**2: dsytrd reduces the bordered
+    matrix [[0, C^T], [C, diag(E)]] with e_0 fixed, so below row 0 its
+    tridiagonal form is that Jacobi matrix (Boley & Golub, Inverse
+    Problems 3 (1987) 595).
     """
-    _check_dense_fits(params.n_levels)
-    spectrum = log_spectrum(params)
-    amps = riemann_amplitudes(params)
-    if params.n_levels == 1:
-        return SymmetricTridiagonal(spectrum.energies.copy(), np.empty(0))
-    # the seed is symmetric and ours alone: its transpose is the Fortran-ordered
-    # matrix itself, which dsytrd may overwrite
-    _, d, e, _ = _tridiagonalize(_conjugated_seed(spectrum, amps).T, overwrite=True)
-    fixed, _ = gauge_fix(SymmetricTridiagonal(d, e))
+    n = params.n_levels
+    _check_dense_fits(n)
+    energies = log_spectrum(params).energies
+    if n == 1:
+        return SymmetricTridiagonal(energies.copy(), np.empty(0))
+    # lower triangle only, Fortran-ordered, so dsytrd reduces it in place without a copy
+    h = np.zeros((n + 1, n + 1), order="F")
+    h[1:, 0] = riemann_amplitudes(params).amplitudes
+    np.fill_diagonal(h[1:, 1:], energies)
+    _, d, e, _ = _tridiagonalize(h, overwrite=True)
+    fixed, _ = gauge_fix(SymmetricTridiagonal(d[1:], e[1:]))
     if fixed.offdiagonal.size and fixed.offdiagonal.min() < _BREAKDOWN_TOL:
         k = int(np.argmin(fixed.offdiagonal))
         raise DisconnectedChain(

@@ -230,33 +230,31 @@ def test_similarity_dimension_mismatch():
         similarity_transform(log_spectrum(SimulationParams(3, 1.0, 2.0)), np.eye(4))
 
 
-def _assert_seed_matches_similarity_route(energies, amplitudes):
-    # measured worst gap 2.9e-16 * N (N = 2, a = 0.05, sigma = 2; 1.7e-14 at N = 1000)
-    # on the Riemann grid and 1.9e-16 * N on the completion cases; bound 10x that
-    seed = synthesis._conjugated_seed(energies, amplitudes)
-    reference = similarity_transform(energies, orthogonal_completion(amplitudes))
-    np.testing.assert_allclose(seed, reference, rtol=0, atol=3e-15 * amplitudes.size)
-    np.testing.assert_array_equal(seed, seed.T)
+def _stepwise_chain(p):
+    """The reference route: GEMM seed, Householder reduction, gauge fix."""
+    seed = similarity_transform(log_spectrum(p), orthogonal_completion(riemann_amplitudes(p)))
+    tri, _, _ = householder_tridiagonalize(seed)
+    return gauge_fix(tri)[0]
 
 
-@pytest.mark.parametrize("energies", ["ascending", "normal"])
-@pytest.mark.parametrize("name", sorted(COMPLETION_CASES))
-def test_seed_matches_similarity_route_on_completion_cases(name, energies):
-    c = COMPLETION_CASES[name]
-    n = c.size
-    if energies == "ascending":
-        e = np.log(np.arange(n) + 0.5)
-    else:
-        e = np.random.default_rng(n).standard_normal(n)
-    _assert_seed_matches_similarity_route(e, c)
-
-
+# Measured worst gaps on this grid: diagonal 4.9e-16 * N absolute (N = 5, a = 1,
+# sigma = 20; 3.2e-13 at N = 1000) and hoppings 4.2e-15 * N relative (N = 200,
+# a = 0.5, sigma = 5; 3.8e-12 at N = 1000).  Bounds about 10x that.
 @pytest.mark.parametrize("sigma", [1.05, 2.0, 5.0, 20.0, 40.0])
 @pytest.mark.parametrize("a", [0.05, 0.5, 1.0])
 @pytest.mark.parametrize("n", [2, 5, 64, 200, 1000])
-def test_seed_matches_similarity_route_on_riemann_grid(n, a, sigma):
+def test_synthesize_matches_stepwise_route_on_riemann_grid(n, a, sigma):
     p = SimulationParams(n, a, sigma)
-    _assert_seed_matches_similarity_route(log_spectrum(p).energies, riemann_amplitudes(p).amplitudes)
+    reference = _stepwise_chain(p)
+    k = int(np.argmin(reference.offdiagonal))
+    if reference.offdiagonal[k] < synthesis._BREAKDOWN_TOL:
+        # a = 0.05 at sigma >= 20: the weight beyond site 0 is below the floor
+        with pytest.raises(DisconnectedChain, match=f"J_{k} "):
+            synthesize(p)
+        return
+    tri = synthesize(p)
+    np.testing.assert_allclose(tri.diagonal, reference.diagonal, rtol=0, atol=5e-15 * n)
+    np.testing.assert_allclose(tri.offdiagonal, reference.offdiagonal, rtol=5e-14 * n, atol=0)
 
 
 def test_householder_matches_golden_reflectors():
@@ -309,8 +307,8 @@ def test_householder_leaves_the_callers_matrix_untouched(order):
 
 
 def test_synthesize_memory_is_one_dense_array():
-    # the seed is mirrored without a temporary of h.T and dsytrd reduces it in place,
-    # without a Fortran-ordered copy; measured 1.04 N x N at N = 1000
+    # the bordered matrix is built Fortran-ordered, so dsytrd reduces it in place
+    # without a copy; measured 1.04 N x N at N = 1000
     p = SimulationParams(1000, 0.5, 2.0)
     synthesize(SimulationParams(5, 0.5, 2.0))  # imports and LAPACK workspace queries outside the trace
     tracemalloc.start()
@@ -351,19 +349,25 @@ def test_householder_matches_loop_reference(name):
             np.testing.assert_allclose(np.copysign(1.0, v @ ref) * v, ref, rtol=0, atol=1e-12)
 
 
+def _bordered(p):
+    """The bordered matrix [[0, C^T], [C, diag(E)]] of the parameters p."""
+    c = riemann_amplitudes(p).amplitudes
+    return np.block([[np.zeros((1, 1)), c[None, :]], [c[:, None], np.diag(log_spectrum(p).energies)]])
+
+
 # N = 1000 is past dsytrd's crossover to blocked reduction, where synthesize reduces in place
 @pytest.mark.parametrize(
     "p", [GOLDEN_PARAMS, SimulationParams(9, 0.3, 1.7), SimulationParams(120, 0.5, 2.0), SimulationParams(1000, 0.5, 2.0)]
 )
 def test_synthesize_is_bit_identical_to_householder_route(p):
-    dense = synthesis._conjugated_seed(log_spectrum(p), riemann_amplitudes(p))
-    tri, _, _ = householder_tridiagonalize(dense)
-    _, d, e, _ = synthesis._tridiagonalize(dense)
-    np.testing.assert_array_equal(d, tri.diagonal)
-    np.testing.assert_array_equal(e, tri.offdiagonal)
-    fixed, _ = gauge_fix(tri)
-    np.testing.assert_array_equal(synthesize(p).diagonal, fixed.diagonal)
-    np.testing.assert_array_equal(synthesize(p).offdiagonal, fixed.offdiagonal)
+    tri, q, _ = householder_tridiagonalize(_bordered(p))
+    # e_0 stays fixed, so row 0 couples site 0 to the rest by |C| = 1 alone
+    np.testing.assert_array_equal(q[0], np.eye(p.n_levels + 1)[0])
+    assert tri.diagonal[0] == 0.0 and abs(tri.offdiagonal[0]) == pytest.approx(1.0, abs=1e-15)
+    fixed, _ = gauge_fix(SymmetricTridiagonal(tri.diagonal[1:], tri.offdiagonal[1:]))
+    chain = synthesize(p)
+    np.testing.assert_array_equal(chain.diagonal, fixed.diagonal)
+    np.testing.assert_array_equal(chain.offdiagonal, fixed.offdiagonal)
 
 
 def test_size_guard_names_largest_feasible_n(monkeypatch):
