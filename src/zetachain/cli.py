@@ -178,13 +178,14 @@ def cmd_design(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 2 with one JSON line; flags match exactly (`domain --n` is not `--n-cap`).
 
-    A value such as `-1e308` is a negative number, not a flag: before Python
-    3.13 argparse's own pattern misses exponent forms, so this is 3.13's.
+    A value such as `-1e308` or `-inf` is a negative number, not a flag:
+    before Python 3.13 argparse's own pattern misses exponent forms, so this
+    is 3.13's, plus the non-finite spellings that float() reads.
     """
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(?:inf(?:inity)?|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")

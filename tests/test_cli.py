@@ -273,7 +273,16 @@ def test_overflowing_window_length_exits_2_naming_it(method, capsys):
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("--t-start", "-1e308"), ("--t-start", "-1e1"), ("--omega", "-1e-3"), ("--t-end", "-2.5E+1"), ("--sigma", "-.5e1")],
+    [
+        ("--t-start", "-1e308"),
+        ("--t-start", "-1e1"),
+        ("--omega", "-1e-3"),
+        ("--t-end", "-2.5E+1"),
+        ("--sigma", "-.5e1"),
+        ("--t-start", "-inf"),
+        ("--omega", "-nan"),
+        ("--t-end", "-Infinity"),
+    ],
 )
 def test_negative_value_in_exponent_form_reads_as_with_equals(flag, value, capsys):
     base = ["simulate", "--n", "3", "--points", "3"]
