@@ -72,10 +72,9 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class AmplitudeVector:
-    """Unit-norm ground-site overlaps C_n = norm_constant * (n+a)**(-sigma/2)."""
+    """Unit-norm ground-site overlaps C_n proportional to (n+a)**(-sigma/2)."""
 
     amplitudes: np.ndarray = field(repr=False)
-    norm_constant: float = 1.0
 
     def __post_init__(self):
         c = np.asarray(self.amplitudes, dtype=float)
@@ -97,12 +96,9 @@ def riemann_amplitudes(params: SimulationParams) -> AmplitudeVector:
     """Return the normalized amplitudes C_n proportional to (n+a)**(-sigma/2).
 
     The squared amplitudes are the Dirichlet weights of the truncated
-    series at t = 0; the normalization constant is the inverse square
-    root of their unnormalized sum.  The weights are formed as
+    series at t = 0, normalized to unit sum.  The weights are formed as
     (a/(n+a))**sigma, which peak at 1, so they stay finite for any sigma.
     """
     n = np.arange(params.n_levels, dtype=float)
     weights = (params.a / (n + params.a)) ** params.sigma
-    total = weights.sum()
-    norm_constant = params.a ** (params.sigma / 2.0) / np.sqrt(total)
-    return AmplitudeVector(np.sqrt(weights / total), float(norm_constant))
+    return AmplitudeVector(np.sqrt(weights / weights.sum()))
