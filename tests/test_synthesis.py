@@ -243,7 +243,7 @@ def _stepwise_chain(p):
 @pytest.mark.parametrize("sigma", [1.05, 2.0, 5.0, 20.0, 40.0])
 @pytest.mark.parametrize("a", [0.05, 0.5, 1.0])
 @pytest.mark.parametrize("n", [2, 5, 64, 200, 1000])
-def test_synthesize_matches_stepwise_route_on_riemann_grid(n, a, sigma):
+def test_seed_matches_similarity_route_on_riemann_grid(n, a, sigma):
     p = SimulationParams(n, a, sigma)
     reference = _stepwise_chain(p)
     k = int(np.argmin(reference.offdiagonal))
