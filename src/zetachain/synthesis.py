@@ -3,8 +3,10 @@
 Reference pipeline: diagonal seed -> orthogonal completion of the
 amplitude vector -> similarity transform -> Householder
 tridiagonalization (LAPACK dsytrd) -> gauge fix.  synthesize() skips the
-basis: dsytrd reduces the bordered matrix [[0, C^T], [C, diag(E)]]
-directly, and the stepwise public functions remain as the reference route.
+basis: it reduces the bordered matrix [[0, C^T], [C, diag(E)]] directly,
+with dsytrd above _NUMPY_MAX_N sites and an unblocked numpy loop at or
+below it, so short chains never import scipy.linalg.  The stepwise public
+functions remain as the reference route.
 An independent cross-oracle builds the same Jacobi matrix straight from
 the nodes E_n and weights C_n**2 by Givens chasing (the discrete measure
 has a unique tridiagonal representation with positive off-diagonals).
@@ -42,6 +44,10 @@ _BREAKDOWN_TOL = 1e-12
 # (traced at N = 1500: 2.01, synthesize alone 1.03, its (N+1) x (N+1) bordered matrix;
 # evolve_spectral 2.01 at 3 samples, evolve_ode 2.12)
 _DENSE_ARRAYS = 3
+
+# chains of at most this many sites are synthesized and diagonalized with numpy
+# alone: importing scipy.linalg costs ~0.4 s, LAPACK saves well under 1 ms here
+_NUMPY_MAX_N = 16
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,37 @@ def _tridiagonalize(dense: np.ndarray, overwrite: bool = False):
     return packed, d, e, tau
 
 
+def _tridiagonalize_small(a: np.ndarray):
+    """Unblocked Householder reduction of a full symmetric matrix, as LAPACK dsytd2: (diagonal, off-diagonal).
+
+    Reduces a in place, column by column from the first, and forms no Q;
+    the Householder vectors are scaled to a unit pivot and each off-diagonal
+    entry is -sign(alpha) |x|, as in dlarfg.
+    """
+    n = a.shape[0]
+    e = np.empty(n - 1)
+    for k in range(n - 1):
+        x = a[k + 1 :, k]
+        alpha = x[0]
+        # hypot, not a dot product, so that a tail of tiny entries neither underflows nor vanishes
+        xnorm = np.hypot.reduce(x[1:]) if x.size > 1 else 0.0
+        if xnorm == 0.0:
+            e[k] = alpha
+            continue
+        beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+        tau = (beta - alpha) / beta
+        v = x / (alpha - beta)
+        v[0] = 1.0
+        # A <- H A H with H = I - tau v v^T, as the rank-2 update A - v w^T - w v^T
+        sub = a[k + 1 :, k + 1 :]
+        w = tau * (sub @ v)
+        w -= (0.5 * tau * (w @ v)) * v
+        sub -= np.outer(v, w)
+        sub -= np.outer(w, v)
+        e[k] = beta
+    return np.diagonal(a).copy(), e
+
+
 def householder_tridiagonalize(dense: np.ndarray):
     """Reduce a symmetric matrix to tridiagonal form by Householder reflections.
 
@@ -223,21 +260,30 @@ def synthesize(params: SimulationParams) -> SymmetricTridiagonal:
 
     The result has eigenvalues ln(n+a) and ground-site eigenvector
     components C_n = N (n+a)**(-sigma/2).  It is the Jacobi matrix of the
-    measure with nodes E_n and weights C_n**2: dsytrd reduces the bordered
-    matrix [[0, C^T], [C, diag(E)]] with e_0 fixed, so below row 0 its
-    tridiagonal form is that Jacobi matrix (Boley & Golub, Inverse
-    Problems 3 (1987) 595).
+    measure with nodes E_n and weights C_n**2: a Householder reduction of
+    the bordered matrix [[0, C^T], [C, diag(E)]] keeps e_0 fixed, so below
+    row 0 its tridiagonal form is that Jacobi matrix (Boley & Golub, Inverse
+    Problems 3 (1987) 595).  Above _NUMPY_MAX_N sites LAPACK dsytrd reduces
+    it in place; at or below, an unblocked numpy loop does, so that such a
+    run never imports scipy.linalg.  The two agree to round-off, not bit
+    for bit.
     """
     n = params.n_levels
     _check_dense_fits(n)
     energies = log_spectrum(params).energies
     if n == 1:
         return SymmetricTridiagonal(energies.copy(), np.empty(0))
-    # lower triangle only, Fortran-ordered, so dsytrd reduces it in place without a copy
-    h = np.zeros((n + 1, n + 1), order="F")
-    h[1:, 0] = riemann_amplitudes(params).amplitudes
-    np.fill_diagonal(h[1:, 1:], energies)
-    _, d, e, _ = _tridiagonalize(h, overwrite=True)
+    amplitudes = riemann_amplitudes(params).amplitudes
+    if n <= _NUMPY_MAX_N:
+        h = np.diag(np.r_[0.0, energies])
+        h[1:, 0] = h[0, 1:] = amplitudes
+        d, e = _tridiagonalize_small(h)
+    else:
+        # lower triangle only, Fortran-ordered, so dsytrd reduces it in place without a copy
+        h = np.zeros((n + 1, n + 1), order="F")
+        h[1:, 0] = amplitudes
+        np.fill_diagonal(h[1:, 1:], energies)
+        _, d, e, _ = _tridiagonalize(h, overwrite=True)
     fixed, _ = gauge_fix(SymmetricTridiagonal(d[1:], e[1:]))
     if fixed.offdiagonal.size and fixed.offdiagonal.min() < _BREAKDOWN_TOL:
         k = int(np.argmin(fixed.offdiagonal))

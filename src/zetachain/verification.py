@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import SimulationParams, log_spectrum, riemann_amplitudes
 from .errors import ConvergenceFailure, DimensionMismatch
-from .synthesis import SymmetricTridiagonal
+from .synthesis import _NUMPY_MAX_N, SymmetricTridiagonal
 
 __all__ = ["EigenDecomposition", "SynthesisReport", "eigh_tridiagonal", "verify_synthesis"]
 
@@ -51,15 +51,20 @@ class SynthesisReport:
 def eigh_tridiagonal(tri: SymmetricTridiagonal) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric tridiagonal matrix.
 
-    Backed by LAPACK's implicit-shift tridiagonal solver; a convergence
-    failure there is surfaced as ConvergenceFailure.
+    Above _NUMPY_MAX_N sites scipy's LAPACK tridiagonal solver runs; at or
+    below it numpy's dense eigh does, on the same matrix, so that a short
+    chain never imports scipy.linalg.  A convergence failure in either is
+    surfaced as ConvergenceFailure.
     """
-    import scipy.linalg  # imported here so that `import zetachain` stays light
-
     if tri.order == 1:
         return EigenDecomposition(tri.diagonal.copy(), np.ones((1, 1)))
     try:
-        lam, vec = scipy.linalg.eigh_tridiagonal(tri.diagonal, tri.offdiagonal)
+        if tri.order <= _NUMPY_MAX_N:
+            lam, vec = np.linalg.eigh(tri.to_dense())
+        else:
+            import scipy.linalg  # imported here so that `import zetachain` stays light
+
+            lam, vec = scipy.linalg.eigh_tridiagonal(tri.diagonal, tri.offdiagonal)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise ConvergenceFailure(str(exc)) from exc
     return EigenDecomposition(lam, vec)

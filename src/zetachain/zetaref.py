@@ -53,6 +53,17 @@ def _check_a(a: float):
         raise ValidationError(f"a must lie in (0, 1], got {a}")
 
 
+def _check_n_terms(n_terms) -> int:
+    """n_terms as an int, refusing anything but a positive integer (an integral float counts)."""
+    try:
+        ok = n_terms >= 1 and n_terms == int(n_terms)
+    except (TypeError, ValueError, OverflowError):  # complex, inf, or not a number at all
+        ok = False
+    if not ok:
+        raise ValidationError(f"n_terms must be a positive integer, got {n_terms}")
+    return int(n_terms)
+
+
 @functools.lru_cache(maxsize=1)
 def _log_table(a: float, n_terms: int) -> np.ndarray:
     """Read-only ln(n + a), n = 0..n_terms-1; along a line scan a is fixed and M rarely changes."""
@@ -75,9 +86,7 @@ def _head(s: complex, a: float, n_terms: int) -> complex:
 def dirichlet_truncated(s: complex, a: float, n_terms: int) -> complex:
     """Truncated Dirichlet sum over (n + a)**(-s), n = 0..n_terms-1."""
     _check_a(a)
-    if n_terms < 1:
-        raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
-    return _head(complex(s), a, n_terms)
+    return _head(complex(s), a, _check_n_terms(n_terms))
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:
@@ -170,7 +179,7 @@ def tail_bound(sigma: float, a: float, n_terms: int) -> float:
     _check_a(a)
     if not sigma > 1.0:
         raise ValidationError(f"sigma must exceed 1, got {sigma}")
-    return (n_terms - 1 + a) ** (1.0 - sigma) / (sigma - 1.0)
+    return (_check_n_terms(n_terms) - 1 + a) ** (1.0 - sigma) / (sigma - 1.0)
 
 
 @dataclass(frozen=True)

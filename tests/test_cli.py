@@ -392,3 +392,25 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     code = "import sys, zetachain.cli; sys.exit('scipy.linalg' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("command", ["synth", "verify", "simulate", "design"])
+def test_short_chains_leave_scipy_linalg_unloaded(command, n, tmp_path):
+    # up to synthesis._NUMPY_MAX_N = 16 sites numpy synthesizes and diagonalizes; from 17 LAPACK does
+    src = os.path.dirname(os.path.dirname(zetachain.__file__))
+    code = (
+        "import sys\n"
+        "from zetachain.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'scipy.linalg' in sys.modules, file=sys.stderr)\n"
+    )
+    argv = [command, "--n", str(n), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stderr.split() == ["0", str(n > 16)]

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -231,10 +232,14 @@ def test_similarity_dimension_mismatch():
 
 
 def _stepwise_chain(p):
-    """The reference route: GEMM seed, Householder reduction, gauge fix."""
+    """The reference route: GEMM seed, Householder reduction, gauge fix.
+
+    Takes the tridiagonal from the dsytrd call that householder_tridiagonalize
+    makes, so the values are the same, without forming Q and the reflectors.
+    """
     seed = similarity_transform(log_spectrum(p), orthogonal_completion(riemann_amplitudes(p)))
-    tri, _, _ = householder_tridiagonalize(seed)
-    return gauge_fix(tri)[0]
+    _, d, e, _ = synthesis._tridiagonalize(seed)
+    return gauge_fix(SymmetricTridiagonal(d, e))[0]
 
 
 # Measured worst gaps on this grid: diagonal 4.9e-16 * N absolute (N = 5, a = 1,
@@ -310,7 +315,8 @@ def test_synthesize_memory_is_one_dense_array():
     # the bordered matrix is built Fortran-ordered, so dsytrd reduces it in place
     # without a copy; measured 1.04 N x N at N = 1000
     p = SimulationParams(1000, 0.5, 2.0)
-    synthesize(SimulationParams(5, 0.5, 2.0))  # imports and LAPACK workspace queries outside the trace
+    # imports and LAPACK workspace queries outside the trace; shorter chains never reach LAPACK
+    synthesize(SimulationParams(synthesis._NUMPY_MAX_N + 1, 0.5, 2.0))
     tracemalloc.start()
     try:
         synthesize(p)
@@ -355,10 +361,9 @@ def _bordered(p):
     return np.block([[np.zeros((1, 1)), c[None, :]], [c[:, None], np.diag(log_spectrum(p).energies)]])
 
 
-# N = 1000 is past dsytrd's crossover to blocked reduction, where synthesize reduces in place
-@pytest.mark.parametrize(
-    "p", [GOLDEN_PARAMS, SimulationParams(9, 0.3, 1.7), SimulationParams(120, 0.5, 2.0), SimulationParams(1000, 0.5, 2.0)]
-)
+# Above the numpy threshold synthesize runs dsytrd; N = 1000 is past dsytrd's
+# crossover to blocked reduction, where synthesize reduces in place
+@pytest.mark.parametrize("p", [SimulationParams(120, 0.5, 2.0), SimulationParams(1000, 0.5, 2.0)])
 def test_synthesize_is_bit_identical_to_householder_route(p):
     tri, q, _ = householder_tridiagonalize(_bordered(p))
     # e_0 stays fixed, so row 0 couples site 0 to the rest by |C| = 1 alone
@@ -368,6 +373,67 @@ def test_synthesize_is_bit_identical_to_householder_route(p):
     chain = synthesize(p)
     np.testing.assert_array_equal(chain.diagonal, fixed.diagonal)
     np.testing.assert_array_equal(chain.offdiagonal, fixed.offdiagonal)
+
+
+def _bordered_dsytrd_chain(p):
+    """synthesize's route above the numpy threshold: dsytrd on the bordered matrix, row 0 dropped, gauge fixed."""
+    _, d, e, _ = synthesis._tridiagonalize(_bordered(p))
+    return gauge_fix(SymmetricTridiagonal(d[1:], e[1:]))[0]
+
+
+def _floor_breach(tri):
+    """Index k of the smallest hopping J_k when it is below the breakdown floor, else None."""
+    k = int(np.argmin(tri.offdiagonal))
+    return k if tri.offdiagonal[k] < synthesis._BREAKDOWN_TOL else None
+
+
+# Measured worst gaps of the numpy route on this grid: diagonal absolute / N and
+# hoppings relative / N.  Bounds about 10x that.
+#   dsytrd on the bordered matrix: 7.1e-16 (N = 5, a = 0.01, sigma = 1.05), 2.3e-15 (N = 16, a = 1, sigma = 2)
+#   the stepwise route:            1.2e-15 (N = 3, a = 0.01, sigma = 1.05), 2.8e-15 (N = 16, a = 0.5, sigma = 40)
+#   RKPW:                          1.5e-15 (N = 3, a = 0.01, sigma = 5),    3.3e-15 (N = 9, a = 1, sigma = 60)
+NUMPY_ROUTE_BOUNDS = {"bordered_dsytrd": (7e-15, 2.5e-14), "stepwise": (1.2e-14, 3e-14), "rkpw": (1.5e-14, 3.5e-14)}
+
+
+@pytest.mark.parametrize("sigma", [1.05, 2.0, 5.0, 20.0, 40.0, 60.0, 200.0])
+@pytest.mark.parametrize("a", [0.01, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 16])
+def test_numpy_route_matches_lapack_and_rkpw_on_riemann_grid(n, a, sigma):
+    assert n <= synthesis._NUMPY_MAX_N
+    p = SimulationParams(n, a, sigma)
+    e, c = log_spectrum(p).energies, riemann_amplitudes(p).amplitudes
+    try:
+        chain, k = synthesize(p), None
+    except DisconnectedChain as err:
+        chain, k = None, int(re.search(r"J_(\d+) ", str(err)).group(1))
+    references = {"bordered_dsytrd": _bordered_dsytrd_chain(p), "stepwise": _stepwise_chain(p)}
+    if (c > 0.0).all():
+        step = _breakdown_step(lambda: lanczos_synthesis(e, c))
+        assert step == k
+        if step is None:
+            references["rkpw"] = lanczos_synthesis(e, c)
+    else:
+        # C_n**2 underflows to 0 beyond ~1e-308 (a = 0.01 and 0.05 at sigma = 200), which
+        # RKPW refuses; the chain has broken down before those sites
+        assert k is not None
+        with pytest.raises(ValidationError, match="strictly positive"):
+            lanczos_synthesis(e, c)
+    for name, reference in references.items():
+        if name != "rkpw":
+            assert _floor_breach(reference) == k, name
+        if chain is not None:
+            diag_atol, off_rtol = NUMPY_ROUTE_BOUNDS[name]
+            _assert_oracle_agrees(chain, reference.diagonal, reference.offdiagonal, diag_atol * n, off_rtol * n)
+
+
+@pytest.mark.parametrize("name", sorted(HOUSEHOLDER_CASES))
+def test_numpy_reduction_matches_loop_reference(name):
+    dense = HOUSEHOLDER_CASES[name]
+    d_ref, e_ref, _, _ = householder_reference(dense)
+    d, e = synthesis._tridiagonalize_small(dense.copy())
+    scale = np.abs(dense).max()
+    np.testing.assert_allclose(d, d_ref, rtol=0, atol=1e-13 * scale * dense.shape[0])
+    np.testing.assert_allclose(e, e_ref, rtol=0, atol=1e-13 * scale * dense.shape[0])
 
 
 def test_size_guard_names_largest_feasible_n(monkeypatch):

@@ -200,6 +200,21 @@ def test_tail_bound_dominates_truncation(sigma, a, n, t):
     assert err <= tail_bound(sigma, a, n)
 
 
+@pytest.mark.parametrize("n_terms", [0, -3, 2.5, 0.5, math.nan, math.inf, -math.inf, 3 + 0j, "5"])
+def test_n_terms_must_be_a_positive_integer(n_terms):
+    # tail_bound(1.5, 0.5, 0) was complex, a fractional count summed its ceiling,
+    # and NaN or inf ended in numpy's bare ValueError
+    with pytest.raises(ValidationError, match="n_terms must be a positive integer"):
+        tail_bound(1.5, 0.5, n_terms)
+    with pytest.raises(ValidationError, match="n_terms must be a positive integer"):
+        dirichlet_truncated(2.0, 1.0, n_terms)
+
+
+def test_integral_float_n_terms_counts_as_integer():
+    assert dirichlet_truncated(2.0, 1.0, 5.0) == dirichlet_truncated(2.0, 1.0, 5)
+    assert tail_bound(2.0, 1.0, np.int64(5)) == tail_bound(2.0, 1.0, 5) == 0.2
+
+
 def test_truncation_converges_monotonically_at_real_s():
     sigma, a = 1.8, 0.5
     exact = hurwitz_zeta(sigma, a)
