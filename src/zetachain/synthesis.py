@@ -175,7 +175,7 @@ def _tridiagonalize_small(a: np.ndarray):
     for k in range(n - 1):
         x = a[k + 1 :, k]
         alpha = x[0]
-        # hypot, not a dot product, so that a tail of tiny entries neither underflows nor vanishes
+        # hypot, not a dot product: squares of entries below ~1e-154 would underflow to 0
         xnorm = np.hypot.reduce(x[1:]) if x.size > 1 else 0.0
         if xnorm == 0.0:
             e[k] = alpha

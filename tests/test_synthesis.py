@@ -413,8 +413,8 @@ def test_numpy_route_matches_lapack_and_rkpw_on_riemann_grid(n, a, sigma):
         if step is None:
             references["rkpw"] = lanczos_synthesis(e, c)
     else:
-        # C_n**2 underflows to 0 beyond ~1e-308 (a = 0.01 and 0.05 at sigma = 200), which
-        # RKPW refuses; the chain has broken down before those sites
+        # the weights C_n**2 underflow below ~1e-308, so those C_n come out 0 (a = 0.01 and
+        # 0.05 at sigma = 200), which RKPW refuses; the chain has broken down before them
         assert k is not None
         with pytest.raises(ValidationError, match="strictly positive"):
             lanczos_synthesis(e, c)
