@@ -188,8 +188,9 @@ def _tridiagonalize_small(a: np.ndarray):
         sub = a[k + 1 :, k + 1 :]
         w = tau * (sub @ v)
         w -= (0.5 * tau * (w @ v)) * v
-        sub -= np.outer(v, w)
-        sub -= np.outer(w, v)
+        vw = np.outer(v, w)
+        sub -= vw
+        sub -= vw.T
         e[k] = beta
     return np.diagonal(a).copy(), e
 
