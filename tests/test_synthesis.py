@@ -361,9 +361,18 @@ def _bordered(p):
     return np.block([[np.zeros((1, 1)), c[None, :]], [c[:, None], np.diag(log_spectrum(p).energies)]])
 
 
-# Above the numpy threshold synthesize runs dsytrd; N = 1000 is past dsytrd's
-# crossover to blocked reduction, where synthesize reduces in place
-@pytest.mark.parametrize("p", [SimulationParams(120, 0.5, 2.0), SimulationParams(1000, 0.5, 2.0)])
+# Above the numpy threshold synthesize runs dsytrd, from the shortest such chain
+# up; N = 1000 is past dsytrd's crossover to blocked reduction, where synthesize
+# reduces in place
+@pytest.mark.parametrize(
+    "p",
+    [
+        SimulationParams(synthesis._NUMPY_MAX_N + 1, 0.5, 2.0),
+        SimulationParams(40, 0.3, 1.7),
+        SimulationParams(120, 0.5, 2.0),
+        SimulationParams(1000, 0.5, 2.0),
+    ],
+)
 def test_synthesize_is_bit_identical_to_householder_route(p):
     tri, q, _ = householder_tridiagonalize(_bordered(p))
     # e_0 stays fixed, so row 0 couples site 0 to the rest by |C| = 1 alone
