@@ -61,11 +61,9 @@ from .verification import (
 from .zetaref import (
     DomainPoint,
     accessible_domain,
-    dirichlet_truncated,
     hurwitz_zeta,
     n_min,
     tail_bound,
-    truncation_error_estimate,
 )
 
 __version__ = "0.1.0"

@@ -66,9 +66,6 @@ class Spectrum:
         if e.size > 1 and not np.all(np.diff(e) > 0):
             raise ValidationError("spectrum must be strictly increasing")
 
-    def __len__(self):
-        return self.energies.size
-
 
 @dataclass(frozen=True)
 class AmplitudeVector:
@@ -81,9 +78,6 @@ class AmplitudeVector:
         object.__setattr__(self, "amplitudes", c)
         if c.ndim != 1 or c.size < 1:
             raise ValidationError("amplitudes must be a nonempty 1-d array")
-
-    def __len__(self):
-        return self.amplitudes.size
 
 
 def log_spectrum(params: SimulationParams) -> Spectrum:
@@ -98,7 +92,15 @@ def riemann_amplitudes(params: SimulationParams) -> AmplitudeVector:
     The squared amplitudes are the Dirichlet weights of the truncated
     series at t = 0, normalized to unit sum.  The weights are formed as
     (a/(n+a))**sigma, which peak at 1, so they stay finite for any sigma.
+    A weight below the smallest normal double has lost digits or underflowed
+    to 0 while its root may not have, so there C_n is (a/(n+a))**(sigma/2)
+    over the root of the weight sum.
     """
     n = np.arange(params.n_levels, dtype=float)
-    weights = (params.a / (n + params.a)) ** params.sigma
-    return AmplitudeVector(np.sqrt(weights / weights.sum()))
+    ratios = params.a / (n + params.a)
+    weights = ratios**params.sigma
+    total = weights.sum()
+    amplitudes = np.sqrt(weights / total)
+    small = weights < np.finfo(float).tiny
+    amplitudes[small] = ratios[small] ** (0.5 * params.sigma) / math.sqrt(total)
+    return AmplitudeVector(amplitudes)

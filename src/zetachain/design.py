@@ -40,9 +40,6 @@ class SpinChainParams:
     fields: np.ndarray = field(repr=False)
     dropped_constant: float = 0.0
 
-    def to_tridiagonal(self) -> SymmetricTridiagonal:
-        return SymmetricTridiagonal(self.fields.copy(), self.couplings.copy())
-
 
 @dataclass(frozen=True)
 class FabricationConstants:

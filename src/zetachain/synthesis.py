@@ -272,8 +272,6 @@ def synthesize(params: SimulationParams) -> SymmetricTridiagonal:
     n = params.n_levels
     _check_dense_fits(n)
     energies = log_spectrum(params).energies
-    if n == 1:
-        return SymmetricTridiagonal(energies.copy(), np.empty(0))
     amplitudes = riemann_amplitudes(params).amplitudes
     if n <= _NUMPY_MAX_N:
         h = np.diag(np.r_[0.0, energies])

@@ -56,8 +56,6 @@ def eigh_tridiagonal(tri: SymmetricTridiagonal) -> EigenDecomposition:
     chain never imports scipy.linalg.  A convergence failure in either is
     surfaced as ConvergenceFailure.
     """
-    if tri.order == 1:
-        return EigenDecomposition(tri.diagonal.copy(), np.ones((1, 1)))
     try:
         if tri.order <= _NUMPY_MAX_N:
             lam, vec = np.linalg.eigh(tri.to_dense())

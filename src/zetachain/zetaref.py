@@ -1,9 +1,8 @@
 """Independent ground truth for the Hurwitz zeta function on Re s > 1.
 
-Provides the truncated Dirichlet sum the simulator realizes, an
-Euler-Maclaurin evaluation of the full function used as acceptance
-oracle, and the truncation-error model that bounds the accessible
-parameter domain.
+Provides an Euler-Maclaurin evaluation of the full function used as
+acceptance oracle, and the truncation-error model that bounds the
+accessible parameter domain.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ import numpy as np
 from .errors import OutOfDomain, ValidationError
 
 __all__ = [
-    "dirichlet_truncated",
     "hurwitz_zeta",
-    "truncation_error_estimate",
     "n_min",
     "tail_bound",
     "DomainPoint",
@@ -83,12 +80,6 @@ def _head(s: complex, a: float, n_terms: int) -> complex:
         return complex(np.exp(-s * logs).sum())
 
 
-def dirichlet_truncated(s: complex, a: float, n_terms: int) -> complex:
-    """Truncated Dirichlet sum over (n + a)**(-s), n = 0..n_terms-1."""
-    _check_a(a)
-    return _head(complex(s), a, _check_n_terms(n_terms))
-
-
 def hurwitz_zeta(s: complex, a: float) -> complex:
     """Hurwitz zeta by explicit summation plus Euler-Maclaurin tail.
 
@@ -146,18 +137,6 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     return value
 
 
-def truncation_error_estimate(n_terms: float, sigma: float) -> float:
-    """Leading-order truncation error N**(1-sigma)/(sigma-1) at t = 0.
-
-    Accepts real n_terms so it composes with the real-valued n_min.
-    """
-    if n_terms < 1:
-        raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
-    if not sigma > 1.0:
-        raise ValidationError(f"sigma must exceed 1, got {sigma}")
-    return float(n_terms) ** (1.0 - sigma) / (sigma - 1.0)
-
-
 def n_min(sigma: float) -> float:
     """Minimum truncation order (sigma-1)**(-1/(sigma-1)) for small error."""
     if not sigma > 1.0:
@@ -179,7 +158,12 @@ def tail_bound(sigma: float, a: float, n_terms: int) -> float:
     _check_a(a)
     if not sigma > 1.0:
         raise ValidationError(f"sigma must exceed 1, got {sigma}")
-    return (_check_n_terms(n_terms) - 1 + a) ** (1.0 - sigma) / (sigma - 1.0)
+    if sigma == math.inf:  # inf / inf is nan at N - 1 + a < 1, and 0 / inf passes as a bound elsewhere
+        raise ValidationError(f"sigma must be finite, got {sigma}")
+    try:
+        return (_check_n_terms(n_terms) - 1 + a) ** (1.0 - sigma) / (sigma - 1.0)
+    except OverflowError:  # N - 1 + a < 1 raised to a huge negative power
+        return math.inf
 
 
 @dataclass(frozen=True)

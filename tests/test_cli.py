@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import zetachain
-from zetachain import dirichlet_truncated, hurwitz_zeta, synthesis, tail_bound
+from zetachain import hurwitz_zeta, synthesis, tail_bound, zetaref
 from zetachain import cli
 from zetachain.cli import main
 
@@ -123,7 +123,7 @@ def test_simulate_omega_deviation_bounded_by_tail(omega, method, t_end, tmp_path
                  "--method", method, "--t-end", t_end, "--points", "201", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert float(rows[-1][0]) == float(t_end)
-    bound = 2.0 * tail_bound(3.0, 1.0, 64) / dirichlet_truncated(3.0, 1.0, 64).real + 1e-12
+    bound = 2.0 * tail_bound(3.0, 1.0, 64) / zetaref._head(3.0, 1.0, 64).real + 1e-12
     assert max(float(r[6]) for r in rows) <= bound
 
 

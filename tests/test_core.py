@@ -93,6 +93,13 @@ def test_amplitudes_finite_where_unscaled_weights_overflow():
     assert np.all(np.isfinite(amps.amplitudes))
 
 
+def test_amplitudes_keep_the_root_of_an_underflowing_weight():
+    # the weight (0.01 / 1.01)**200 ~ 1e-401 underflows to 0, its root 101**-100 ~ 3.7e-201 does not
+    amps = riemann_amplitudes(SimulationParams(2, 0.01, 200.0))
+    assert amps.amplitudes[0] == 1.0
+    assert amps.amplitudes[1] == pytest.approx(101.0**-100, rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("n", [2, 17, 200])
 def test_spectrum_strictly_increasing(n):
     rng = np.random.default_rng(7)

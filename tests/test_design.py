@@ -42,12 +42,6 @@ def test_spin_chain_single_site():
     assert chain.fields.tolist() == [0.3]
 
 
-def test_spin_chain_round_trip():
-    back = spin_chain_params(GOLDEN_TRI).to_tridiagonal()
-    np.testing.assert_allclose(back.diagonal, GOLDEN_TRI.diagonal, atol=0)
-    np.testing.assert_allclose(back.offdiagonal, GOLDEN_TRI.offdiagonal, atol=0)
-
-
 def test_fabrication_constants_validation():
     with pytest.raises(ValidationError):
         FabricationConstants(0.0, 1.0, 300.0, 1e-3, 1.5)

@@ -392,6 +392,8 @@ def _bordered_dsytrd_chain(p):
 
 def _floor_breach(tri):
     """Index k of the smallest hopping J_k when it is below the breakdown floor, else None."""
+    if not tri.offdiagonal.size:  # a single site has no hopping
+        return None
     k = int(np.argmin(tri.offdiagonal))
     return k if tri.offdiagonal[k] < synthesis._BREAKDOWN_TOL else None
 
@@ -406,27 +408,22 @@ NUMPY_ROUTE_BOUNDS = {"bordered_dsytrd": (7e-15, 2.5e-14), "stepwise": (1.2e-14,
 
 @pytest.mark.parametrize("sigma", [1.05, 2.0, 5.0, 20.0, 40.0, 60.0, 200.0])
 @pytest.mark.parametrize("a", [0.01, 0.05, 0.5, 1.0])
-@pytest.mark.parametrize("n", [2, 3, 5, 9, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 16])
 def test_numpy_route_matches_lapack_and_rkpw_on_riemann_grid(n, a, sigma):
     assert n <= synthesis._NUMPY_MAX_N
     p = SimulationParams(n, a, sigma)
     e, c = log_spectrum(p).energies, riemann_amplitudes(p).amplitudes
+    # a weight C_n**2 may underflow (a = 0.01 and 0.05 at sigma = 200), its root may not
+    assert (c > 0.0).all()
     try:
         chain, k = synthesize(p), None
     except DisconnectedChain as err:
         chain, k = None, int(re.search(r"J_(\d+) ", str(err)).group(1))
     references = {"bordered_dsytrd": _bordered_dsytrd_chain(p), "stepwise": _stepwise_chain(p)}
-    if (c > 0.0).all():
-        step = _breakdown_step(lambda: lanczos_synthesis(e, c))
-        assert step == k
-        if step is None:
-            references["rkpw"] = lanczos_synthesis(e, c)
-    else:
-        # the weights C_n**2 underflow below ~1e-308, so those C_n come out 0 (a = 0.01 and
-        # 0.05 at sigma = 200), which RKPW refuses; the chain has broken down before them
-        assert k is not None
-        with pytest.raises(ValidationError, match="strictly positive"):
-            lanczos_synthesis(e, c)
+    step = _breakdown_step(lambda: lanczos_synthesis(e, c))
+    assert step == k
+    if step is None:
+        references["rkpw"] = lanczos_synthesis(e, c)
     for name, reference in references.items():
         if name != "rkpw":
             assert _floor_breach(reference) == k, name

@@ -8,27 +8,25 @@ from zetachain import (
     OutOfDomain,
     ValidationError,
     accessible_domain,
-    dirichlet_truncated,
     hurwitz_zeta,
     n_min,
     tail_bound,
-    truncation_error_estimate,
 )
 from zetachain import zetaref
 from zetachain.zetaref import _EM_MAX_TERMS
 
 
 def test_dirichlet_exact_rational_sum():
-    assert abs(dirichlet_truncated(2.0, 1.0, 5) - 5269.0 / 3600.0) < 1e-15
+    assert abs(zetaref._head(2.0, 1.0, 5) - 5269.0 / 3600.0) < 1e-15
 
 
 def test_dirichlet_single_term():
-    assert abs(dirichlet_truncated(3.0 + 1.0j, 0.7, 1) - 0.7 ** -(3.0 + 1.0j)) < 1e-15
+    assert abs(zetaref._head(3.0 + 1.0j, 0.7, 1) - 0.7 ** -(3.0 + 1.0j)) < 1e-15
 
 
 def test_dirichlet_approaches_half_shift_limit():
     # zeta(2, 1/2) = 3 zeta(2) = pi^2 / 2
-    val = dirichlet_truncated(2.0, 0.5, 10**6)
+    val = zetaref._head(2.0, 0.5, 10**6)
     assert abs(val - math.pi**2 / 2.0) < 1e-5
 
 
@@ -98,7 +96,7 @@ def test_cached_log_table_is_read_only():
 
 def test_long_log_tables_are_not_kept():
     zetaref._log_table.cache_clear()
-    dirichlet_truncated(2.0, 0.5, zetaref._CACHED_TERMS + 1)
+    zetaref._head(2.0, 0.5, zetaref._CACHED_TERMS + 1)
     assert zetaref._log_table.cache_info().currsize == 0
 
 
@@ -166,12 +164,6 @@ def test_hurwitz_rejects_non_finite_s(s):
         hurwitz_zeta(s, 0.5)
 
 
-def test_truncation_error_examples():
-    assert abs(truncation_error_estimate(5, 2.0) - 0.2) < 1e-15
-    assert truncation_error_estimate(1, 2.0) == 1.0
-    assert abs(truncation_error_estimate(3125, 1.2) - 1.0) < 1e-12
-
-
 def test_n_min_reference_values():
     assert n_min(1.5) == 4.0
     assert abs(n_min(1.2) - 3125.0) < 1e-10 * 3125.0
@@ -181,23 +173,36 @@ def test_n_min_reference_values():
 
 
 def test_n_min_ties_truncation_error_to_one():
+    # the leading-order truncation error N**(1 - sigma) / (sigma - 1) is 1 at N = n_min
     for sigma in (1.1, 1.3, 1.5, 2.0):
-        assert abs(truncation_error_estimate(n_min(sigma), sigma) - 1.0) < 1e-12
+        assert abs(n_min(sigma) ** (1.0 - sigma) / (sigma - 1.0) - 1.0) < 1e-12
 
 
 def test_n_min_rejects_bad_sigma():
     with pytest.raises(ValidationError):
         n_min(1.0)
-    with pytest.raises(ValidationError):
-        truncation_error_estimate(5, 0.8)
 
 
 @pytest.mark.parametrize("sigma,a,n", [(2.0, 1.0, 5), (1.5, 0.5, 20), (3.0, 0.25, 3)])
 @pytest.mark.parametrize("t", [0.0, 5.0, 30.0])
 def test_tail_bound_dominates_truncation(sigma, a, n, t):
     s = sigma + 1j * t
-    err = abs(dirichlet_truncated(s, a, n) - hurwitz_zeta(s, a))
+    err = abs(zetaref._head(s, a, n) - hurwitz_zeta(s, a))
     assert err <= tail_bound(sigma, a, n)
+
+
+@pytest.mark.parametrize("a,n", [(0.5, 1), (1.0, 5)])
+def test_tail_bound_refuses_an_infinite_sigma(a, n):
+    # the formula gave inf / inf = nan at N - 1 + a < 1, and 0 / inf = 0 elsewhere
+    with pytest.raises(ValidationError, match="sigma must be finite"):
+        tail_bound(math.inf, a, n)
+
+
+def test_tail_bound_is_inf_where_the_power_overflows():
+    # 0.5**(1 - 1e308) is beyond the double range, where Python's float power raises
+    assert tail_bound(1e308, 0.5, 1) == math.inf
+    # above N - 1 + a = 1 the same power underflows to 0, as the tail itself does
+    assert tail_bound(1e308, 0.5, 2) == 0.0
 
 
 @pytest.mark.parametrize("n_terms", [0, -3, 2.5, 0.5, math.nan, math.inf, -math.inf, 3 + 0j, "5"])
@@ -206,19 +211,16 @@ def test_n_terms_must_be_a_positive_integer(n_terms):
     # and NaN or inf ended in numpy's bare ValueError
     with pytest.raises(ValidationError, match="n_terms must be a positive integer"):
         tail_bound(1.5, 0.5, n_terms)
-    with pytest.raises(ValidationError, match="n_terms must be a positive integer"):
-        dirichlet_truncated(2.0, 1.0, n_terms)
 
 
 def test_integral_float_n_terms_counts_as_integer():
-    assert dirichlet_truncated(2.0, 1.0, 5.0) == dirichlet_truncated(2.0, 1.0, 5)
     assert tail_bound(2.0, 1.0, np.int64(5)) == tail_bound(2.0, 1.0, 5) == 0.2
 
 
 def test_truncation_converges_monotonically_at_real_s():
     sigma, a = 1.8, 0.5
     exact = hurwitz_zeta(sigma, a)
-    errs = [abs(dirichlet_truncated(sigma, a, n) - exact) for n in (2, 4, 8, 16, 64, 256)]
+    errs = [abs(zetaref._head(sigma, a, n) - exact) for n in (2, 4, 8, 16, 64, 256)]
     assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
 
 
