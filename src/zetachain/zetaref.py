@@ -50,6 +50,14 @@ def _check_a(a: float):
         raise ValidationError(f"a must lie in (0, 1], got {a}")
 
 
+def _check_sigma(sigma: float):
+    if not sigma > 1.0:
+        raise ValidationError(f"sigma must exceed 1, got {sigma}")
+    # at sigma = inf, n_min's limit 1 passes as feasible, and tail_bound gives nan or 0
+    if sigma == math.inf:
+        raise ValidationError(f"sigma must be finite, got {sigma}")
+
+
 def _check_n_terms(n_terms) -> int:
     """n_terms as an int, refusing anything but a positive integer (an integral float counts)."""
     try:
@@ -139,10 +147,7 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
 
 def n_min(sigma: float) -> float:
     """Minimum truncation order (sigma-1)**(-1/(sigma-1)) for small error."""
-    if not sigma > 1.0:
-        raise ValidationError(f"sigma must exceed 1, got {sigma}")
-    if sigma == math.inf:  # the formula's limit 1 would pass an infinite sigma as feasible
-        raise ValidationError(f"sigma must be finite, got {sigma}")
+    _check_sigma(sigma)
     try:
         return float((sigma - 1.0) ** (-1.0 / (sigma - 1.0)))
     except OverflowError:  # diverges as sigma -> 1+
@@ -156,10 +161,7 @@ def tail_bound(sigma: float, a: float, n_terms: int) -> float:
     integral from N-1+a, giving (N-1+a)**(1-sigma)/(sigma-1).
     """
     _check_a(a)
-    if not sigma > 1.0:
-        raise ValidationError(f"sigma must exceed 1, got {sigma}")
-    if sigma == math.inf:  # inf / inf is nan at N - 1 + a < 1, and 0 / inf passes as a bound elsewhere
-        raise ValidationError(f"sigma must be finite, got {sigma}")
+    _check_sigma(sigma)
     try:
         return (_check_n_terms(n_terms) - 1 + a) ** (1.0 - sigma) / (sigma - 1.0)
     except OverflowError:  # N - 1 + a < 1 raised to a huge negative power

@@ -207,14 +207,15 @@ def test_tail_bound_is_inf_where_the_power_overflows():
 
 @pytest.mark.parametrize("n_terms", [0, -3, 2.5, 0.5, math.nan, math.inf, -math.inf, 3 + 0j, "5"])
 def test_n_terms_must_be_a_positive_integer(n_terms):
-    # tail_bound(1.5, 0.5, 0) was complex, a fractional count summed its ceiling,
-    # and NaN or inf ended in numpy's bare ValueError
+    # tail_bound(1.5, 0.5, 0) was complex, and a fractional or non-finite count
+    # gave nan or a number taken for a bound
     with pytest.raises(ValidationError, match="n_terms must be a positive integer"):
         tail_bound(1.5, 0.5, n_terms)
 
 
 def test_integral_float_n_terms_counts_as_integer():
-    assert tail_bound(2.0, 1.0, np.int64(5)) == tail_bound(2.0, 1.0, 5) == 0.2
+    assert tail_bound(2.0, 1.0, 5.0) == tail_bound(2.0, 1.0, 5) == 0.2
+    assert tail_bound(2.0, 1.0, np.int64(5)) == 0.2
 
 
 def test_truncation_converges_monotonically_at_real_s():
