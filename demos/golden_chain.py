@@ -52,7 +52,7 @@ print("  site energies B:", chain.diagonal)
 print("  hoppings     J:", chain.offdiagonal, "\n")
 
 cross = lanczos_synthesis(spectrum, amps)
-print("recurrence cross-oracle agrees to",
+print("bordered-reduction cross-oracle agrees to",
       np.abs(cross.to_dense() - chain.to_dense()).max())
 
 report = verify_synthesis(chain, params)

@@ -272,7 +272,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             return args.func(args)
-    except MemoryError as exc:  # e.g. numpy refusing an oversized --points grid
+    # e.g. numpy refusing an oversized --points grid, or an --out path that cannot be written
+    except (MemoryError, OSError) as exc:
         _diagnostic(ValidationError(str(exc)), 2)
         return 2
     except ZetachainError as exc:

@@ -49,7 +49,6 @@ class FabricationConstants:
     bend_radius   : radius R of the circular axis bend
     lambda_bar    : optical wavelength over 2*pi, same length units as d
     n_substrate   : substrate refractive index
-    e_offset      : straight-axis propagation constant (gauge, not synthesized)
     """
 
     kappa: float
@@ -57,7 +56,6 @@ class FabricationConstants:
     bend_radius: float
     lambda_bar: float
     n_substrate: float
-    e_offset: float = 0.0
 
     def __post_init__(self):
         for name in ("kappa", "alpha", "bend_radius", "lambda_bar", "n_substrate"):
@@ -194,7 +192,8 @@ def waveguide_design_json(design: WaveguideDesign) -> str:
             "bend_radius": _fmt(fab.bend_radius),
             "lambda_bar": _fmt(fab.lambda_bar),
             "n_substrate": _fmt(fab.n_substrate),
-            "e_offset": _fmt(fab.e_offset),
+            # the straight-axis propagation constant is gauge, so it is written as 0
+            "e_offset": _fmt(0.0),
         },
         "guides": [
             {

@@ -2,14 +2,14 @@
 
 Reference pipeline: diagonal seed -> orthogonal completion of the
 amplitude vector -> similarity transform -> Householder
-tridiagonalization (LAPACK dsytrd) -> gauge fix.  synthesize() skips the
-basis: it reduces the bordered matrix [[0, C^T], [C, diag(E)]] directly,
-with dsytrd above _NUMPY_MAX_N sites and an unblocked numpy loop at or
-below it, so short chains never import scipy.linalg.  The stepwise public
-functions remain as the reference route.
-An independent cross-oracle builds the same Jacobi matrix straight from
-the nodes E_n and weights C_n**2 by Givens chasing (the discrete measure
-has a unique tridiagonal representation with positive off-diagonals).
+tridiagonalization (LAPACK dsytrd) -> gauge fix.  The chain is the Jacobi
+matrix of the discrete measure with nodes E_n and weights C_n**2, which
+has a unique tridiagonal representation with positive off-diagonals, so
+two routes build it straight from the measure: synthesize() by RKPW
+Givens chasing in O(N) memory and pure numpy, and the independent
+cross-oracle lanczos_synthesis() by dsytrd on the bordered matrix
+[[0, C^T], [C, diag(E)]].  The stepwise public functions remain as the
+reference route.
 """
 
 from __future__ import annotations
@@ -40,14 +40,10 @@ _GS_SKIP_TOL = 1e-10
 # recurrence norms below this signal numerical breakdown
 _BREAKDOWN_TOL = 1e-12
 
-# N x N float64 arrays alive at once at the peak of synthesize + verify_synthesis
-# (traced at N = 1500: 2.01, synthesize alone 1.03, its (N+1) x (N+1) bordered matrix;
-# evolve_spectral 2.01 at 3 samples, evolve_ode 2.12)
+# N x N float64 arrays alive at once at the peak of the stages that follow synthesize
+# (traced at N = 1500: verify_synthesis 2.01, evolve_spectral 2.01 at 3 samples,
+# evolve_ode 2.11; synthesize itself 0.007, lanczos_synthesis one (N+1) x (N+1) matrix)
 _DENSE_ARRAYS = 3
-
-# chains of at most this many sites are synthesized and diagonalized with numpy
-# alone: importing scipy.linalg costs ~0.4 s, LAPACK saves well under 1 ms here
-_NUMPY_MAX_N = 16
 
 
 @dataclass(frozen=True)
@@ -163,38 +159,6 @@ def _tridiagonalize(dense: np.ndarray, overwrite: bool = False):
     return packed, d, e, tau
 
 
-def _tridiagonalize_small(a: np.ndarray):
-    """Unblocked Householder reduction of a full symmetric matrix, as LAPACK dsytd2: (diagonal, off-diagonal).
-
-    Reduces a in place, column by column from the first, and forms no Q;
-    the Householder vectors are scaled to a unit pivot and each off-diagonal
-    entry is -sign(alpha) |x|, as in dlarfg.
-    """
-    n = a.shape[0]
-    e = np.empty(n - 1)
-    for k in range(n - 1):
-        x = a[k + 1 :, k]
-        alpha = x[0]
-        # hypot, not a dot product: squares of entries below ~1e-154 would underflow to 0
-        xnorm = np.hypot.reduce(x[1:]) if x.size > 1 else 0.0
-        if xnorm == 0.0:
-            e[k] = alpha
-            continue
-        beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
-        tau = (beta - alpha) / beta
-        v = x / (alpha - beta)
-        v[0] = 1.0
-        # A <- H A H with H = I - tau v v^T, as the rank-2 update A - v w^T - w v^T
-        sub = a[k + 1 :, k + 1 :]
-        w = tau * (sub @ v)
-        w -= (0.5 * tau * (w @ v)) * v
-        vw = np.outer(v, w)
-        sub -= vw
-        sub -= vw.T
-        e[k] = beta
-    return np.diagonal(a).copy(), e
-
-
 def householder_tridiagonalize(dense: np.ndarray):
     """Reduce a symmetric matrix to tridiagonal form by Householder reflections.
 
@@ -256,72 +220,25 @@ def _check_dense_fits(n: int):
         )
 
 
-def synthesize(params: SimulationParams) -> SymmetricTridiagonal:
-    """Build the gauge-fixed tridiagonal Hamiltonian for the given parameters.
+def _rkpw(nodes: np.ndarray, amplitudes: np.ndarray):
+    """Jacobi matrix of the measure with nodes x_n and weights C_n**2 by RKPW: (diagonal, hoppings).
 
-    The result has eigenvalues ln(n+a) and ground-site eigenvector
-    components C_n = N (n+a)**(-sigma/2).  It is the Jacobi matrix of the
-    measure with nodes E_n and weights C_n**2: a Householder reduction of
-    the bordered matrix [[0, C^T], [C, diag(E)]] keeps e_0 fixed, so below
-    row 0 its tridiagonal form is that Jacobi matrix (Boley & Golub, Inverse
-    Problems 3 (1987) 595).  Above _NUMPY_MAX_N sites LAPACK dsytrd reduces
-    it in place; at or below, an unblocked numpy loop does, so that such a
-    run never imports scipy.linalg.  The two agree to round-off, not bit
-    for bit.
+    Gragg & Harrod, Numer. Math. 44 (1984) 317, in O(N**2) time and O(N)
+    memory: nodes join one at a time, and each new node's bulge is chased
+    down the chain by Givens rotations.  Chase m does its step j at
+    tau = j + 2m; the chases alive at one tau touch disjoint entries, so
+    each tau is one vectorized step on stride-2 slices.  B_0 is the square
+    root of the weight so far and B_{j+1} the hopping J_j, so every hopping
+    is >= 0 or not finite.  Checks nothing.
     """
-    n = params.n_levels
-    _check_dense_fits(n)
-    energies = log_spectrum(params).energies
-    amplitudes = riemann_amplitudes(params).amplitudes
-    if n <= _NUMPY_MAX_N:
-        h = np.diag(np.r_[0.0, energies])
-        h[1:, 0] = h[0, 1:] = amplitudes
-        d, e = _tridiagonalize_small(h)
-    else:
-        # lower triangle only, Fortran-ordered, so dsytrd reduces it in place without a copy
-        h = np.zeros((n + 1, n + 1), order="F")
-        h[1:, 0] = amplitudes
-        np.fill_diagonal(h[1:, 1:], energies)
-        _, d, e, _ = _tridiagonalize(h, overwrite=True)
-    fixed, _ = gauge_fix(SymmetricTridiagonal(d[1:], e[1:]))
-    if fixed.offdiagonal.size and fixed.offdiagonal.min() < _BREAKDOWN_TOL:
-        k = int(np.argmin(fixed.offdiagonal))
-        raise DisconnectedChain(
-            f"hopping J_{k} = {fixed.offdiagonal[k]:.3e} collapsed below {_BREAKDOWN_TOL}"
-        )
-    return fixed
-
-
-def lanczos_synthesis(energies, amplitudes) -> SymmetricTridiagonal:
-    """Jacobi matrix of the discrete measure with the given nodes and weights.
-
-    Independent oracle for synthesize(): by uniqueness of the Jacobi
-    matrix the two agree entrywise.  Built by RKPW (Gragg & Harrod, Numer.
-    Math. 44 (1984) 317) in O(N**2) time and O(N) memory: nodes join one at
-    a time, and each new node's bulge is chased down the chain by Givens
-    rotations.  Chase m does its step j at tau = j + 2m; the chases alive
-    at one tau touch disjoint entries, so each tau is one vectorized step
-    on stride-2 slices.  B_0 is the square root of the weight so far and
-    B_{j+1} the hopping J_j.  Raises Breakdown at the first J_k below
-    the breakdown floor or not finite.
-    """
-    e = _unwrap(energies, "energies")
-    c = _unwrap(amplitudes, "amplitudes")
-    n = e.size
-    if c.size != n:
-        raise DimensionMismatch(f"{c.size} amplitudes for {n} nodes")
-    if n > 1 and np.min(np.diff(np.sort(e))) <= 0.0:
-        raise ValidationError("nodes must be distinct")
-    if np.any(c <= 0.0):
-        raise ValidationError("weights must be strictly positive")
-
+    n = nodes.size
     alpha = np.zeros(n)
     b = np.zeros(n + 1)
     # per-chase state, chase m at index n - 1 - m so that it runs along j:
     # the node xi, the bulge g (seeded with C_m itself, as C_m**2 may
     # underflow) and eta = -h, where h is the bulge's coupling to site j
-    xi = e[::-1].copy()
-    g = c[::-1].copy()
+    xi = nodes[::-1].copy()
+    g = amplitudes[::-1].copy()
     eta = np.zeros(n)
     for tau in range(3 * n - 2):
         # chases m_lo..m_hi are alive, chase m at site j = tau - 2m
@@ -347,10 +264,68 @@ def lanczos_synthesis(energies, amplitudes) -> SymmetricTridiagonal:
         bj[...] = r
         np.multiply(sin, bj1, out=em)
         bj1 *= cos
+    return alpha, b[1:n]
 
-    betas = b[1:n]
-    bad = ~(np.isfinite(betas) & (betas >= _BREAKDOWN_TOL))
-    if bad.any():
-        k = int(np.argmax(bad))
+
+def _first_bad_hopping(hoppings: np.ndarray):
+    """Index of the first hopping below the breakdown floor or not finite, else None."""
+    bad = ~(np.isfinite(hoppings) & (hoppings >= _BREAKDOWN_TOL))
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def synthesize(params: SimulationParams) -> SymmetricTridiagonal:
+    """Build the tridiagonal Hamiltonian for the given parameters.
+
+    The result has eigenvalues ln(n+a) and ground-site eigenvector
+    components C_n = N (n+a)**(-sigma/2).  It is the Jacobi matrix of the
+    measure with nodes E_n and weights C_n**2, built by RKPW in O(N**2)
+    time and O(N) memory, with every hopping >= 0.  Raises
+    DisconnectedChain at the first hopping below the breakdown floor or
+    not finite.  The dense-memory check still comes first: callers
+    diagonalize or evolve the chain next, and every chain subcommand
+    refuses the same N.
+    """
+    n = params.n_levels
+    _check_dense_fits(n)
+    energies = log_spectrum(params).energies
+    amplitudes = riemann_amplitudes(params).amplitudes
+    diagonal, hoppings = _rkpw(energies, amplitudes)
+    k = _first_bad_hopping(hoppings)
+    if k is not None:
+        raise DisconnectedChain(f"hopping J_{k} = {hoppings[k]:.3e} collapsed below {_BREAKDOWN_TOL}")
+    return SymmetricTridiagonal(diagonal, hoppings)
+
+
+def lanczos_synthesis(energies, amplitudes) -> SymmetricTridiagonal:
+    """Jacobi matrix of the discrete measure with the given nodes and weights.
+
+    Independent oracle for synthesize(): by uniqueness of the Jacobi matrix
+    the two agree entrywise.  A Householder reduction of the bordered
+    matrix [[0, C^T], [C, diag(E)]] keeps e_0 fixed, so it computes the
+    Lanczos recurrence of the measure from the start vector C / |C|: below
+    row 0 its tridiagonal form is the Jacobi matrix, up to the signs of the
+    hoppings (Boley & Golub, Inverse Problems 3 (1987) 595).  LAPACK dsytrd
+    reduces the lower triangle in place.  Raises Breakdown at the first
+    recurrence norm below the breakdown floor or not finite.
+    """
+    e = _unwrap(energies, "energies")
+    c = _unwrap(amplitudes, "amplitudes")
+    n = e.size
+    if c.size != n:
+        raise DimensionMismatch(f"{c.size} amplitudes for {n} nodes")
+    if n > 1 and np.min(np.diff(np.sort(e))) <= 0.0:
+        raise ValidationError("nodes must be distinct")
+    if np.any(c <= 0.0):
+        raise ValidationError("weights must be strictly positive")
+    _check_dense_fits(n)
+
+    # lower triangle only, Fortran-ordered, so dsytrd reduces it in place without a copy
+    h = np.zeros((n + 1, n + 1), order="F")
+    h[1:, 0] = c
+    np.fill_diagonal(h[1:, 1:], e)
+    _, d, off, _ = _tridiagonalize(h, overwrite=True)
+    betas = np.abs(off[1:])
+    k = _first_bad_hopping(betas)
+    if k is not None:
         raise Breakdown(f"recurrence norm {betas[k]:.3e} at step {k}")
-    return SymmetricTridiagonal(alpha, betas)
+    return SymmetricTridiagonal(d[1:], betas)

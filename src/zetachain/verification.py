@@ -13,12 +13,16 @@ import numpy as np
 
 from .core import SimulationParams, log_spectrum, riemann_amplitudes
 from .errors import ConvergenceFailure, DimensionMismatch
-from .synthesis import _NUMPY_MAX_N, SymmetricTridiagonal
+from .synthesis import SymmetricTridiagonal
 
 __all__ = ["EigenDecomposition", "SynthesisReport", "eigh_tridiagonal", "verify_synthesis"]
 
 # absolute tolerance on |<0|v_n>| - C_n used when none is given
 DEFAULT_TOL_OVERLAP = 1e-9
+
+# chains of at most this many sites are diagonalized with numpy alone:
+# importing scipy.linalg costs ~0.4 s, LAPACK saves well under 1 ms here
+_NUMPY_MAX_N = 16
 
 
 @dataclass(frozen=True)

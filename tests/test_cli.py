@@ -324,6 +324,17 @@ def test_memory_error_exits_2_with_one_json_line(monkeypatch, capsys):
     assert diag["message"] == message
 
 
+@pytest.mark.parametrize("target", ["missing_dir/out.txt", "."], ids=["missing_dir", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [["synth"], ["simulate", "--points", "3"], ["domain"], ["design"]],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_2_with_one_json_line(argv, target, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / target)]) == 2
+    assert one_json_line(capsys, 2)["error"] == "ValidationError"
+
+
 def test_oracle_term_limit_exits_4(capsys):
     assert main(["simulate", "--omega", "1e300", "--points", "3"]) == 4
     assert one_json_line(capsys, 4)["error"] == "OutOfDomain"
@@ -397,7 +408,8 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
 @pytest.mark.parametrize("n", [16, 17])
 @pytest.mark.parametrize("command", ["synth", "verify", "simulate", "design"])
 def test_short_chains_leave_scipy_linalg_unloaded(command, n, tmp_path):
-    # up to synthesis._NUMPY_MAX_N = 16 sites numpy synthesizes and diagonalizes; from 17 LAPACK does
+    # numpy synthesizes at every N; up to verification._NUMPY_MAX_N = 16 sites it also
+    # diagonalizes, from 17 LAPACK does; design never diagonalizes
     src = os.path.dirname(os.path.dirname(zetachain.__file__))
     code = (
         "import sys\n"
@@ -413,4 +425,4 @@ def test_short_chains_leave_scipy_linalg_unloaded(command, n, tmp_path):
         text=True,
         timeout=60,
     )
-    assert proc.stderr.split() == ["0", str(n > 16)]
+    assert proc.stderr.split() == ["0", str(n > 16 and command != "design")]

@@ -4,9 +4,9 @@ Every case in tests/golden/cli.json was recorded once and is compared
 exactly, so any change to serialization, flag handling or diagnostics
 shows up here.  The file records the output of numpy 2.4 / scipy 1.17 on
 an x86-64 Linux build with OpenBLAS 0.3.31.  Every case has N <= 9, so
-its chain comes from numpy's Householder loop and its eigenvalues from
-numpy's LAPACK eigh; a different numpy, BLAS or LAPACK build may move the
-last digits.
+its chain comes from synthesize's RKPW chase in numpy and its eigenvalues
+from numpy's LAPACK eigh; a different numpy, BLAS or LAPACK build may move
+the last digits.
 
 Regenerate (only when an output change is intended and explained):
 

@@ -311,15 +311,16 @@ def test_householder_leaves_the_callers_matrix_untouched(order):
     np.testing.assert_array_equal(m, before)
 
 
-def test_synthesize_memory_is_one_dense_array():
+def test_lanczos_memory_is_one_dense_array():
     # the bordered matrix is built Fortran-ordered, so dsytrd reduces it in place
     # without a copy; measured 1.04 N x N at N = 1000
     p = SimulationParams(1000, 0.5, 2.0)
-    # imports and LAPACK workspace queries outside the trace; shorter chains never reach LAPACK
-    synthesize(SimulationParams(synthesis._NUMPY_MAX_N + 1, 0.5, 2.0))
+    e, c = log_spectrum(p), riemann_amplitudes(p)
+    # imports and LAPACK workspace queries outside the trace
+    lanczos_synthesis(np.array([0.0, 1.0]), np.array([0.6, 0.8]))
     tracemalloc.start()
     try:
-        synthesize(p)
+        lanczos_synthesis(e, c)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -361,33 +362,31 @@ def _bordered(p):
     return np.block([[np.zeros((1, 1)), c[None, :]], [c[:, None], np.diag(log_spectrum(p).energies)]])
 
 
-# Above the numpy threshold synthesize runs dsytrd, from the shortest such chain
-# up; N = 1000 is past dsytrd's crossover to blocked reduction, where synthesize
-# reduces in place
+# lanczos_synthesis runs dsytrd at every N; N = 1000 is past dsytrd's crossover
+# to blocked reduction, where it reduces in place
 @pytest.mark.parametrize(
     "p",
     [
-        SimulationParams(synthesis._NUMPY_MAX_N + 1, 0.5, 2.0),
+        SimulationParams(1, 1.0, 2.0),
+        SimulationParams(2, 0.5, 2.0),
+        SimulationParams(5, 0.5, 2.0),
+        SimulationParams(16, 0.01, 1.05),
+        SimulationParams(17, 0.5, 2.0),
         SimulationParams(40, 0.3, 1.7),
         SimulationParams(120, 0.5, 2.0),
         SimulationParams(1000, 0.5, 2.0),
     ],
+    ids=lambda p: f"n{p.n_levels}",
 )
-def test_synthesize_is_bit_identical_to_householder_route(p):
+def test_lanczos_is_bit_identical_to_householder_route(p):
     tri, q, _ = householder_tridiagonalize(_bordered(p))
     # e_0 stays fixed, so row 0 couples site 0 to the rest by |C| = 1 alone
     np.testing.assert_array_equal(q[0], np.eye(p.n_levels + 1)[0])
     assert tri.diagonal[0] == 0.0 and abs(tri.offdiagonal[0]) == pytest.approx(1.0, abs=1e-15)
     fixed, _ = gauge_fix(SymmetricTridiagonal(tri.diagonal[1:], tri.offdiagonal[1:]))
-    chain = synthesize(p)
+    chain = lanczos_synthesis(log_spectrum(p), riemann_amplitudes(p))
     np.testing.assert_array_equal(chain.diagonal, fixed.diagonal)
     np.testing.assert_array_equal(chain.offdiagonal, fixed.offdiagonal)
-
-
-def _bordered_dsytrd_chain(p):
-    """synthesize's route above the numpy threshold: dsytrd on the bordered matrix, row 0 dropped, gauge fixed."""
-    _, d, e, _ = synthesis._tridiagonalize(_bordered(p))
-    return gauge_fix(SymmetricTridiagonal(d[1:], e[1:]))[0]
 
 
 def _floor_breach(tri):
@@ -398,19 +397,18 @@ def _floor_breach(tri):
     return k if tri.offdiagonal[k] < synthesis._BREAKDOWN_TOL else None
 
 
-# Measured worst gaps of the numpy route on this grid: diagonal absolute / N and
+# Measured worst gaps of synthesize (RKPW) on this grid: diagonal absolute / N and
 # hoppings relative / N.  Bounds about 10x that.
-#   dsytrd on the bordered matrix: 7.1e-16 (N = 5, a = 0.01, sigma = 1.05), 2.3e-15 (N = 16, a = 1, sigma = 2)
-#   the stepwise route:            1.2e-15 (N = 3, a = 0.01, sigma = 1.05), 2.8e-15 (N = 16, a = 0.5, sigma = 40)
-#   RKPW:                          1.5e-15 (N = 3, a = 0.01, sigma = 5),    3.3e-15 (N = 9, a = 1, sigma = 60)
-NUMPY_ROUTE_BOUNDS = {"bordered_dsytrd": (7e-15, 2.5e-14), "stepwise": (1.2e-14, 3e-14), "rkpw": (1.5e-14, 3.5e-14)}
+#   lanczos_synthesis (dsytrd on the bordered matrix): 1.5e-15 (N = 3, a = 0.01, sigma = 5), 1.7e-15 (N = 16, a = 1, sigma = 60)
+#   the stepwise route:                                 4.4e-16 (N = 2, a = 0.01, sigma = 2),  1.4e-15 (N = 9, a = 1, sigma = 40)
+SHORT_CHAIN_BOUNDS = {"bordered_dsytrd": (1.5e-14, 3.5e-14), "stepwise": (1.2e-14, 3e-14)}
 
 
 @pytest.mark.parametrize("sigma", [1.05, 2.0, 5.0, 20.0, 40.0, 60.0, 200.0])
 @pytest.mark.parametrize("a", [0.01, 0.05, 0.5, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 16])
 def test_numpy_route_matches_lapack_and_rkpw_on_riemann_grid(n, a, sigma):
-    assert n <= synthesis._NUMPY_MAX_N
+    # synthesize is the numpy route and runs RKPW; both references run LAPACK dsytrd
     p = SimulationParams(n, a, sigma)
     e, c = log_spectrum(p).energies, riemann_amplitudes(p).amplitudes
     # a weight C_n**2 may underflow (a = 0.01 and 0.05 at sigma = 200), its root may not
@@ -419,27 +417,14 @@ def test_numpy_route_matches_lapack_and_rkpw_on_riemann_grid(n, a, sigma):
         chain, k = synthesize(p), None
     except DisconnectedChain as err:
         chain, k = None, int(re.search(r"J_(\d+) ", str(err)).group(1))
-    references = {"bordered_dsytrd": _bordered_dsytrd_chain(p), "stepwise": _stepwise_chain(p)}
-    step = _breakdown_step(lambda: lanczos_synthesis(e, c))
-    assert step == k
-    if step is None:
-        references["rkpw"] = lanczos_synthesis(e, c)
-    for name, reference in references.items():
-        if name != "rkpw":
-            assert _floor_breach(reference) == k, name
-        if chain is not None:
-            diag_atol, off_rtol = NUMPY_ROUTE_BOUNDS[name]
-            _assert_oracle_agrees(chain, reference.diagonal, reference.offdiagonal, diag_atol * n, off_rtol * n)
-
-
-@pytest.mark.parametrize("name", sorted(HOUSEHOLDER_CASES))
-def test_numpy_reduction_matches_loop_reference(name):
-    dense = HOUSEHOLDER_CASES[name]
-    d_ref, e_ref, _, _ = householder_reference(dense)
-    d, e = synthesis._tridiagonalize_small(dense.copy())
-    scale = np.abs(dense).max()
-    np.testing.assert_allclose(d, d_ref, rtol=0, atol=1e-13 * scale * dense.shape[0])
-    np.testing.assert_allclose(e, e_ref, rtol=0, atol=1e-13 * scale * dense.shape[0])
+    assert _breakdown_step(lambda: lanczos_synthesis(e, c)) == k
+    stepwise = _stepwise_chain(p)
+    assert _floor_breach(stepwise) == k
+    if chain is None:
+        return
+    for name, reference in {"bordered_dsytrd": lanczos_synthesis(e, c), "stepwise": stepwise}.items():
+        diag_atol, off_rtol = SHORT_CHAIN_BOUNDS[name]
+        _assert_oracle_agrees(chain, reference.diagonal, reference.offdiagonal, diag_atol * n, off_rtol * n)
 
 
 def test_size_guard_names_largest_feasible_n(monkeypatch):
@@ -623,7 +608,10 @@ def test_lanczos_agrees_with_reference_loop_and_pipeline(n, a, sigma):
 _MEASURE_RNG = np.random.default_rng(5)
 _RIEMANN_200 = SimulationParams(200, 0.5, 2.0)
 # (nodes, amplitudes, tolerance relative to max |node|); each tolerance is about
-# 10x the worst gap to the reference loop over seeds 0-4 of the same recipe
+# 10x the worst gap of the RKPW chase to the reference loop over seeds 0-4 of the
+# same recipe.  The chase is tested alone: lanczos_synthesis is accurate to
+# eps * |A| absolute, so on mixed_sign_120 its smallest hoppings are off by 8.9e-9
+# relative, and no caller hands it such a measure.
 RANDOM_MEASURES = {
     # measured 1.9e-15
     "unsorted_50": (
@@ -638,7 +626,7 @@ RANDOM_MEASURES = {
         1e-11,
     ),
     # measured 1.9e-11: six clusters of ten nodes 1e-4 apart, shuffled.  Against
-    # a 60-digit RKPW the reference loop is off by ~2e-12 and this oracle by ~2e-11
+    # a 60-digit RKPW the reference loop is off by ~2e-12 and the chase by ~2e-11
     "clustered_60": (
         (np.repeat(np.arange(6.0), 10) + 1e-4 * np.tile(np.arange(10.0), 6))[_MEASURE_RNG.permutation(60)],
         _MEASURE_RNG.uniform(0.1, 1.0, 60),
@@ -654,9 +642,9 @@ RANDOM_MEASURES = {
 
 
 @pytest.mark.parametrize("name", sorted(RANDOM_MEASURES))
-def test_lanczos_matches_reference_loop_on_random_measures(name):
+def test_rkpw_matches_reference_loop_on_random_measures(name):
     nodes, amps, tol = RANDOM_MEASURES[name]
-    tri = lanczos_synthesis(nodes, amps)
+    tri = SymmetricTridiagonal(*synthesis._rkpw(nodes, amps))
     _assert_oracle_agrees(tri, *lanczos_reference(nodes, amps), tol * np.abs(nodes).max(), tol)
 
 
@@ -670,20 +658,26 @@ def test_lanczos_breaks_down_after_the_heavy_nodes():
         lanczos_synthesis(nodes, amps)
 
 
-def test_lanczos_reports_a_non_finite_hopping():
+def test_rkpw_chase_overflows_to_a_non_finite_hopping():
     # the exact chain is finite (J_0 = 9.6e307), but the chase overflows on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(Breakdown, match="recurrence norm inf at step 0"):
-            lanczos_synthesis(np.array([-1e308, 1e308]), np.array([0.6, 0.8]))
+        _, hoppings = synthesis._rkpw(np.array([-1e308, 1e308]), np.array([0.6, 0.8]))
+    assert hoppings.tolist() == [math.inf]
 
 
-def test_lanczos_memory_is_linear_in_n():
+def test_synthesize_maps_a_non_finite_hopping_to_disconnected_chain(monkeypatch):
+    # a NaN from the chase ends as a breakdown (exit 3), not as an invalid matrix (exit 2)
+    monkeypatch.setattr(synthesis, "_rkpw", lambda e, c: (np.zeros(3), np.array([0.5, math.nan])))
+    with pytest.raises(DisconnectedChain, match=r"hopping J_1 = nan collapsed below 1e-12"):
+        synthesize(SimulationParams(3, 0.5, 2.0))
+
+
+def test_synthesize_memory_is_linear_in_n():
     # at N = n_min(1.2) one N x N float64 array is 78 MB; the chase peaked at 0.19 MB
     p = SimulationParams(3125, 0.5, 1.2)
-    e, c = log_spectrum(p), riemann_amplitudes(p)
     tracemalloc.start()
     try:
-        lanczos_synthesis(e, c)
+        synthesize(p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
