@@ -3,14 +3,14 @@
 Builds the chain for (N, a, sigma) = (5, 0.5, 2), printing every
 intermediate: the logarithmic spectrum, the thermal-phase amplitudes,
 the orthogonal completion, the dense conjugated Hamiltonian, the
-Householder reflectors, and the final gauge-fixed tridiagonal chain.
+Householder reflectors, and the final chain with positive hoppings.
 """
 
 import numpy as np
 
 from zetachain import (
     SimulationParams,
-    gauge_fix,
+    SymmetricTridiagonal,
     householder_tridiagonalize,
     lanczos_synthesis,
     log_spectrum,
@@ -46,8 +46,9 @@ for v in reflectors:
     print(" ", v)
 print()
 
-chain, signs = gauge_fix(tri)
-print("gauge-fixed chain:")
+# |J| is tri conjugated by diag(+-1): same eigenvalues, same |first eigenvector row|
+chain = SymmetricTridiagonal(tri.diagonal, np.abs(tri.offdiagonal))
+print("chain with positive hoppings:")
 print("  site energies B:", chain.diagonal)
 print("  hoppings     J:", chain.offdiagonal, "\n")
 

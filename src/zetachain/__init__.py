@@ -22,7 +22,6 @@ from .design import (
     waveguide_layout,
 )
 from .errors import (
-    Breakdown,
     ConvergenceFailure,
     CouplingTooStrong,
     DegenerateInput,
@@ -45,7 +44,6 @@ from .evolution import (
 )
 from .synthesis import (
     SymmetricTridiagonal,
-    gauge_fix,
     householder_tridiagonalize,
     lanczos_synthesis,
     orthogonal_completion,

@@ -31,11 +31,7 @@ class NumericalBreakdown(ZetachainError):
 
 
 class DisconnectedChain(NumericalBreakdown):
-    """A synthesized hopping amplitude collapsed to zero."""
-
-
-class Breakdown(NumericalBreakdown):
-    """A recurrence coefficient (Jacobi off-diagonal) fell below the floor or is not finite."""
+    """A chain hopping, from either synthesis route, fell below the floor or is not finite."""
 
 
 class ConvergenceFailure(NumericalBreakdown):

@@ -2,14 +2,16 @@
 
 Reference pipeline: diagonal seed -> orthogonal completion of the
 amplitude vector -> similarity transform -> Householder
-tridiagonalization (LAPACK dsytrd) -> gauge fix.  The chain is the Jacobi
-matrix of the discrete measure with nodes E_n and weights C_n**2, which
-has a unique tridiagonal representation with positive off-diagonals, so
-two routes build it straight from the measure: synthesize() by RKPW
-Givens chasing in O(N) memory and pure numpy, and the independent
-cross-oracle lanczos_synthesis() by dsytrd on the bordered matrix
-[[0, C^T], [C, diag(E)]].  The stepwise public functions remain as the
-reference route.
+tridiagonalization (LAPACK dsytrd).  The chain is the Jacobi matrix of
+the discrete measure with nodes E_n and weights C_n**2, which has a
+unique tridiagonal representation with positive off-diagonals, so two
+routes build it straight from the measure: synthesize() by RKPW Givens
+chasing in O(N) memory and pure numpy, and the independent cross-oracle
+lanczos_synthesis() by dsytrd on the bordered matrix
+[[0, C^T], [C, diag(E)]].  Both end in _jacobi_chain, the one rule for a
+valid chain: hoppings |J_k|, and DisconnectedChain at the first one below
+the breakdown floor or not finite.  The stepwise public functions remain
+as the reference route.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SimulationParams, log_spectrum, riemann_amplitudes
-from .errors import Breakdown, DegenerateInput, DimensionMismatch, DisconnectedChain, ValidationError
+from .errors import DegenerateInput, DimensionMismatch, DisconnectedChain, ValidationError
 
 __all__ = [
     "SymmetricTridiagonal",
     "orthogonal_completion",
     "similarity_transform",
     "householder_tridiagonalize",
-    "gauge_fix",
     "synthesize",
     "lanczos_synthesis",
 ]
@@ -94,8 +95,9 @@ def _completion_order(c: np.ndarray):
     r_k = |C[order][k:]|.
     """
     n = c.size
-    if abs(np.linalg.norm(c) - 1.0) > 1e-10:
-        raise DegenerateInput(f"amplitude vector must be unit norm, |C| = {np.linalg.norm(c)}")
+    # a NaN norm passes the comparison, so finiteness is checked on its own
+    if not np.isfinite(c).all() or abs(np.linalg.norm(c) - 1.0) > 1e-10:
+        raise DegenerateInput(f"amplitude vector must be finite and unit norm, |C| = {np.linalg.norm(c)}")
     # accumulate copies its first element unchanged, hence the abs
     tail = np.hypot.accumulate(np.abs(c[::-1]))[::-1]
     # residual r_{k+1} / r_k < tol, divided through by tol: tol * r_k would
@@ -190,19 +192,6 @@ def householder_tridiagonalize(dense: np.ndarray):
     return SymmetricTridiagonal(d, e), q, reflectors
 
 
-def gauge_fix(tri: SymmetricTridiagonal):
-    """Flip site signs so every hopping amplitude is nonnegative.
-
-    Conjugation by diag(s) with s_0 = +1 and s_{k+1} = s_k * sign(J_k);
-    diagonal and spectrum are untouched.  Returns the fixed matrix and
-    the sign sequence applied.
-    """
-    j = tri.offdiagonal
-    signs = np.concatenate(([1.0], np.cumprod(np.where(j >= 0.0, 1.0, -1.0))))
-    fixed = SymmetricTridiagonal(tri.diagonal.copy(), np.abs(j))
-    return fixed, signs
-
-
 def _physical_memory() -> int:
     """Bytes of physical memory on this machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -267,10 +256,19 @@ def _rkpw(nodes: np.ndarray, amplitudes: np.ndarray):
     return alpha, b[1:n]
 
 
-def _first_bad_hopping(hoppings: np.ndarray):
-    """Index of the first hopping below the breakdown floor or not finite, else None."""
+def _jacobi_chain(diagonal: np.ndarray, offdiagonal: np.ndarray) -> SymmetricTridiagonal:
+    """The chain with site energies B and hoppings |J|, the one rule both routes end in.
+
+    Taking |J| is a similarity by diag(+-1), which keeps the eigenvalues and
+    the magnitudes of the first eigenvector row.  Raises DisconnectedChain
+    at the first hopping below the breakdown floor or not finite.
+    """
+    hoppings = np.abs(offdiagonal)
     bad = ~(np.isfinite(hoppings) & (hoppings >= _BREAKDOWN_TOL))
-    return int(np.argmax(bad)) if bad.any() else None
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DisconnectedChain(f"hopping J_{k} = {hoppings[k]:.3e} collapsed below {_BREAKDOWN_TOL}")
+    return SymmetricTridiagonal(diagonal, hoppings)
 
 
 def synthesize(params: SimulationParams) -> SymmetricTridiagonal:
@@ -289,11 +287,7 @@ def synthesize(params: SimulationParams) -> SymmetricTridiagonal:
     _check_dense_fits(n)
     energies = log_spectrum(params).energies
     amplitudes = riemann_amplitudes(params).amplitudes
-    diagonal, hoppings = _rkpw(energies, amplitudes)
-    k = _first_bad_hopping(hoppings)
-    if k is not None:
-        raise DisconnectedChain(f"hopping J_{k} = {hoppings[k]:.3e} collapsed below {_BREAKDOWN_TOL}")
-    return SymmetricTridiagonal(diagonal, hoppings)
+    return _jacobi_chain(*_rkpw(energies, amplitudes))
 
 
 def lanczos_synthesis(energies, amplitudes) -> SymmetricTridiagonal:
@@ -305,18 +299,22 @@ def lanczos_synthesis(energies, amplitudes) -> SymmetricTridiagonal:
     Lanczos recurrence of the measure from the start vector C / |C|: below
     row 0 its tridiagonal form is the Jacobi matrix, up to the signs of the
     hoppings (Boley & Golub, Inverse Problems 3 (1987) 595).  LAPACK dsytrd
-    reduces the lower triangle in place.  Raises Breakdown at the first
-    recurrence norm below the breakdown floor or not finite.
+    reduces the lower triangle in place.  Raises ValidationError for nodes
+    that are not finite and distinct or weights that are not finite and
+    positive, and DisconnectedChain as synthesize() does.
     """
     e = _unwrap(energies, "energies")
     c = _unwrap(amplitudes, "amplitudes")
     n = e.size
     if c.size != n:
         raise DimensionMismatch(f"{c.size} amplitudes for {n} nodes")
+    # NaN fails every comparison, so finiteness is checked before distinctness and sign
+    if not np.isfinite(e).all():
+        raise ValidationError("nodes must be finite")
     if n > 1 and np.min(np.diff(np.sort(e))) <= 0.0:
         raise ValidationError("nodes must be distinct")
-    if np.any(c <= 0.0):
-        raise ValidationError("weights must be strictly positive")
+    if not (np.isfinite(c) & (c > 0.0)).all():
+        raise ValidationError("weights must be finite and strictly positive")
     _check_dense_fits(n)
 
     # lower triangle only, Fortran-ordered, so dsytrd reduces it in place without a copy
@@ -324,8 +322,4 @@ def lanczos_synthesis(energies, amplitudes) -> SymmetricTridiagonal:
     h[1:, 0] = c
     np.fill_diagonal(h[1:, 1:], e)
     _, d, off, _ = _tridiagonalize(h, overwrite=True)
-    betas = np.abs(off[1:])
-    k = _first_bad_hopping(betas)
-    if k is not None:
-        raise Breakdown(f"recurrence norm {betas[k]:.3e} at step {k}")
-    return SymmetricTridiagonal(d[1:], betas)
+    return _jacobi_chain(d[1:], off[1:])

@@ -7,12 +7,13 @@ C_n.  Eigenvector signs are left as LAPACK returns them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import SimulationParams, log_spectrum, riemann_amplitudes
-from .errors import ConvergenceFailure, DimensionMismatch
+from .errors import ConvergenceFailure, DimensionMismatch, ValidationError
 from .synthesis import SymmetricTridiagonal
 
 __all__ = ["EigenDecomposition", "SynthesisReport", "eigh_tridiagonal", "verify_synthesis"]
@@ -81,12 +82,17 @@ def verify_synthesis(
     """Report spectral and overlap fidelity of a synthesized Hamiltonian.
 
     Compares eigenvalues against ln(n+a) and the magnitudes of the first
-    eigenvector row against the prescribed amplitudes C_n.
+    eigenvector row against the prescribed amplitudes C_n.  Each tolerance
+    must be positive and finite: a NaN or non-positive one fails every
+    chain, and an infinite one passes every chain.
     """
     if tri.order != params.n_levels:
         raise DimensionMismatch(f"matrix order {tri.order} != n_levels {params.n_levels}")
     if tol_lambda is None:
         tol_lambda = 1e-9 * params.n_levels
+    for name, tol in (("tol_lambda", tol_lambda), ("tol_overlap", tol_overlap)):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValidationError(f"{name} must be positive and finite, got {tol}")
     dec = eigh_tridiagonal(tri)
     target = log_spectrum(params).energies
     amps = riemann_amplitudes(params).amplitudes

@@ -261,6 +261,17 @@ def test_non_finite_input_exits_2_with_one_json_line(argv, capsys):
     assert one_json_line(capsys, 2)["error"] == "ValidationError"
 
 
+# a NaN or non-positive tolerance used to fail every chain (exit 1), an infinite one passed every chain
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("flag", ["--tol-lambda", "--tol-overlap"])
+@pytest.mark.parametrize("command", ["synth", "verify"])
+def test_tolerance_not_positive_and_finite_exits_2(command, flag, value, capsys):
+    assert main([command, flag, value]) == 2
+    diag = one_json_line(capsys, 2)
+    assert diag["error"] == "ValidationError"
+    assert "must be positive and finite" in diag["message"]
+
+
 @pytest.mark.parametrize("method", ["spectral", "ode"])
 def test_overflowing_window_length_exits_2_naming_it(method, capsys):
     # finite ends whose distance overflows: linspace would give NaN sample times, and the

@@ -5,7 +5,8 @@ stderr (a zero exit prints nothing there), and no exception escapes main.
 Four in five flag values are ordinary; the rest are boundary, non-finite
 or malformed spellings.  Chains stay at N <= 300 and grids at 2001
 points, and RK4 runs at N <= 16 over t <= 1 with steps >= 1e-3, so no
-example asks for a large allocation or a long integration.
+example asks for a large allocation or a long integration.  An --out path
+is writable, inside a missing directory, or a directory.
 """
 
 import contextlib
@@ -50,7 +51,7 @@ def _flag(draw, flag, value):
 
 
 @st.composite
-def argvs(draw, out_path):
+def argvs(draw, tmp):
     command = draw(st.sampled_from(sorted(COMMANDS) + ["bogus"]))
     argv = [command]
     flags = dict(COMMANDS.get(command, CHAIN))
@@ -63,6 +64,7 @@ def argvs(draw, out_path):
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
         argv += _flag(draw, flag, _value(draw, flags[flag]))
     if command != "verify" and draw(st.booleans()):  # verify accepts --out but writes nothing
+        out_path = draw(st.sampled_from([f"{tmp}/out.txt", f"{tmp}/missing/out.txt", tmp]))
         argv += _flag(draw, "--out", out_path)
     if not draw(st.integers(0, 9)):
         argv.append(draw(st.sampled_from(STRAYS)))
@@ -74,7 +76,7 @@ def argvs(draw, out_path):
 def test_every_argv_ends_in_a_documented_exit_code(data):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        argv = data.draw(argvs(f"{tmp}/out.txt"), label="argv")
+        argv = data.draw(argvs(tmp), label="argv")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in range(6), argv

@@ -25,7 +25,7 @@ def test_chain_matches_both_routes_at_scale():
     chain = synthesize(p)
     # RKPW vs the bordered dsytrd oracle: measured 4.1e-13
     assert _gap(chain, lanczos_synthesis(energies, amplitudes)) < 1e-10
-    # the stepwise route (GEMM seed, Householder reduction, gauge fix): measured 7.2e-13
+    # the stepwise route (GEMM seed, Householder reduction): measured 7.2e-13
     assert _gap(chain, _stepwise_chain(p)) < 6e-12
 
 

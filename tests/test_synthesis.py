@@ -7,14 +7,12 @@ import pytest
 
 from zetachain import synthesis
 from zetachain import (
-    Breakdown,
     DegenerateInput,
     DimensionMismatch,
     DisconnectedChain,
     SimulationParams,
     SymmetricTridiagonal,
     ValidationError,
-    gauge_fix,
     householder_tridiagonalize,
     lanczos_synthesis,
     log_spectrum,
@@ -125,7 +123,7 @@ def lanczos_reference(energies, amplitudes):
             w -= (basis[: k + 1] @ w) @ basis[: k + 1]
         beta = np.linalg.norm(w)
         if beta < synthesis._BREAKDOWN_TOL:
-            raise Breakdown(f"recurrence norm {beta:.3e} at step {k}")
+            raise DisconnectedChain(f"hopping J_{k} = {beta:.3e} collapsed below {synthesis._BREAKDOWN_TOL}")
         betas[k] = beta
         basis[k + 1] = w / beta
     return alphas, betas
@@ -203,6 +201,13 @@ def test_completion_rejects_non_unit_input():
         orthogonal_completion(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_completion_rejects_non_finite_input(bad):
+    # a NaN norm passes a plain unit-norm comparison
+    with pytest.raises(DegenerateInput, match="finite"):
+        orthogonal_completion(np.array([0.6, bad, 0.8]))
+
+
 def test_similarity_matches_golden():
     d = log_spectrum(GOLDEN_PARAMS)
     hp = similarity_transform(d, orthogonal_completion(riemann_amplitudes(GOLDEN_PARAMS)))
@@ -232,14 +237,23 @@ def test_similarity_dimension_mismatch():
 
 
 def _stepwise_chain(p):
-    """The reference route: GEMM seed, Householder reduction, gauge fix.
+    """The reference route: GEMM seed and Householder reduction, checked by the rule both routes use.
 
     Takes the tridiagonal from the dsytrd call that householder_tridiagonalize
     makes, so the values are the same, without forming Q and the reflectors.
     """
     seed = similarity_transform(log_spectrum(p), orthogonal_completion(riemann_amplitudes(p)))
     _, d, e, _ = synthesis._tridiagonalize(seed)
-    return gauge_fix(SymmetricTridiagonal(d, e))[0]
+    return synthesis._jacobi_chain(d, e)
+
+
+def _breakdown_index(route):
+    """The k of the hopping J_k that a route's DisconnectedChain names, or None when it returns."""
+    try:
+        route()
+    except DisconnectedChain as err:
+        return int(re.search(r"J_(\d+) ", str(err)).group(1))
+    return None
 
 
 # Measured worst gaps on this grid: diagonal 4.9e-16 * N absolute (N = 5, a = 1,
@@ -250,14 +264,13 @@ def _stepwise_chain(p):
 @pytest.mark.parametrize("n", [2, 5, 64, 200, 1000])
 def test_seed_matches_similarity_route_on_riemann_grid(n, a, sigma):
     p = SimulationParams(n, a, sigma)
-    reference = _stepwise_chain(p)
-    k = int(np.argmin(reference.offdiagonal))
-    if reference.offdiagonal[k] < synthesis._BREAKDOWN_TOL:
+    k = _breakdown_index(lambda: synthesize(p))
+    if k is not None:
         # a = 0.05 at sigma >= 20: the weight beyond site 0 is below the floor
         with pytest.raises(DisconnectedChain, match=f"J_{k} "):
-            synthesize(p)
+            _stepwise_chain(p)
         return
-    tri = synthesize(p)
+    tri, reference = synthesize(p), _stepwise_chain(p)
     np.testing.assert_allclose(tri.diagonal, reference.diagonal, rtol=0, atol=5e-15 * n)
     np.testing.assert_allclose(tri.offdiagonal, reference.offdiagonal, rtol=5e-14 * n, atol=0)
 
@@ -383,18 +396,9 @@ def test_lanczos_is_bit_identical_to_householder_route(p):
     # e_0 stays fixed, so row 0 couples site 0 to the rest by |C| = 1 alone
     np.testing.assert_array_equal(q[0], np.eye(p.n_levels + 1)[0])
     assert tri.diagonal[0] == 0.0 and abs(tri.offdiagonal[0]) == pytest.approx(1.0, abs=1e-15)
-    fixed, _ = gauge_fix(SymmetricTridiagonal(tri.diagonal[1:], tri.offdiagonal[1:]))
     chain = lanczos_synthesis(log_spectrum(p), riemann_amplitudes(p))
-    np.testing.assert_array_equal(chain.diagonal, fixed.diagonal)
-    np.testing.assert_array_equal(chain.offdiagonal, fixed.offdiagonal)
-
-
-def _floor_breach(tri):
-    """Index k of the smallest hopping J_k when it is below the breakdown floor, else None."""
-    if not tri.offdiagonal.size:  # a single site has no hopping
-        return None
-    k = int(np.argmin(tri.offdiagonal))
-    return k if tri.offdiagonal[k] < synthesis._BREAKDOWN_TOL else None
+    np.testing.assert_array_equal(chain.diagonal, tri.diagonal[1:])
+    np.testing.assert_array_equal(chain.offdiagonal, np.abs(tri.offdiagonal[1:]))
 
 
 # Measured worst gaps of synthesize (RKPW) on this grid: diagonal absolute / N and
@@ -408,21 +412,21 @@ SHORT_CHAIN_BOUNDS = {"bordered_dsytrd": (1.5e-14, 3.5e-14), "stepwise": (1.2e-1
 @pytest.mark.parametrize("a", [0.01, 0.05, 0.5, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 16])
 def test_numpy_route_matches_lapack_and_rkpw_on_riemann_grid(n, a, sigma):
-    # synthesize is the numpy route and runs RKPW; both references run LAPACK dsytrd
+    # synthesize runs RKPW in numpy; both references run LAPACK dsytrd, on the
+    # bordered matrix and on the stepwise route's dense seed
     p = SimulationParams(n, a, sigma)
     e, c = log_spectrum(p).energies, riemann_amplitudes(p).amplitudes
     # a weight C_n**2 may underflow (a = 0.01 and 0.05 at sigma = 200), its root may not
     assert (c > 0.0).all()
-    try:
-        chain, k = synthesize(p), None
-    except DisconnectedChain as err:
-        chain, k = None, int(re.search(r"J_(\d+) ", str(err)).group(1))
-    assert _breakdown_step(lambda: lanczos_synthesis(e, c)) == k
-    stepwise = _stepwise_chain(p)
-    assert _floor_breach(stepwise) == k
-    if chain is None:
+    routes = {"bordered_dsytrd": lambda: lanczos_synthesis(e, c), "stepwise": lambda: _stepwise_chain(p)}
+    k = _breakdown_index(lambda: synthesize(p))
+    for route in routes.values():
+        assert _breakdown_index(route) == k
+    if k is not None:
         return
-    for name, reference in {"bordered_dsytrd": lanczos_synthesis(e, c), "stepwise": stepwise}.items():
+    chain = synthesize(p)
+    for name, route in routes.items():
+        reference = route()
         diag_atol, off_rtol = SHORT_CHAIN_BOUNDS[name]
         _assert_oracle_agrees(chain, reference.diagonal, reference.offdiagonal, diag_atol * n, off_rtol * n)
 
@@ -451,52 +455,6 @@ def test_householder_two_by_two_noop():
     tri, q, vs = householder_tridiagonalize(m)
     assert vs == []
     np.testing.assert_allclose(tri.to_dense(), m, atol=0)
-
-
-def test_gauge_fix_sign_propagation():
-    tri = SymmetricTridiagonal(np.array([0.1, 0.2, 0.3]), np.array([-0.520, 0.445]))
-    fixed, signs = gauge_fix(tri)
-    np.testing.assert_allclose(fixed.offdiagonal, [0.520, 0.445], atol=0)
-    np.testing.assert_allclose(signs, [1.0, -1.0, -1.0], atol=0)
-    np.testing.assert_allclose(fixed.diagonal, tri.diagonal, atol=0)
-
-
-def test_gauge_fix_nonnegative_fixed_point():
-    tri = SymmetricTridiagonal(np.array([1.0, 2.0, 3.0]), np.array([0.4, 0.0]))
-    fixed, signs = gauge_fix(tri)
-    np.testing.assert_allclose(fixed.offdiagonal, tri.offdiagonal, atol=0)
-    np.testing.assert_allclose(signs, np.ones(3), atol=0)
-
-
-def test_gauge_fix_zero_hopping_keeps_the_running_sign():
-    # a zero (or negative-zero) hopping counts as nonnegative: factor +1, sign carried on
-    tri = SymmetricTridiagonal(np.zeros(5), np.array([-0.3, 0.0, -0.2, -0.0]))
-    fixed, signs = gauge_fix(tri)
-    np.testing.assert_array_equal(signs, [1.0, -1.0, -1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(fixed.offdiagonal, [0.3, 0.0, 0.2, 0.0])
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_gauge_fix_signs_match_loop_reference(seed):
-    rng = np.random.default_rng(seed)
-    j = rng.choice([-0.5, -0.0, 0.0, 0.3], size=9)
-    _, signs = gauge_fix(SymmetricTridiagonal(np.zeros(10), j))
-    expected = np.ones(10)
-    for k in range(j.size):
-        expected[k + 1] = expected[k] * (1.0 if j[k] >= 0.0 else -1.0)
-    np.testing.assert_array_equal(signs, expected)
-
-
-def test_gauge_fix_matches_brute_force_conjugation():
-    # single negative coupling at position k flips all sites beyond k
-    tri = SymmetricTridiagonal(np.array([1.0, -2.0, 0.5, 3.0]), np.array([0.3, -0.7, 0.2]))
-    fixed, signs = gauge_fix(tri)
-    np.testing.assert_allclose(signs, [1.0, 1.0, -1.0, -1.0], atol=0)
-    s = np.diag(signs)
-    np.testing.assert_allclose(s @ tri.to_dense() @ s, fixed.to_dense(), atol=0)
-    np.testing.assert_allclose(
-        np.linalg.eigvalsh(fixed.to_dense()), np.linalg.eigvalsh(tri.to_dense()), atol=1e-12
-    )
 
 
 def test_synthesize_golden():
@@ -561,18 +519,9 @@ def test_lanczos_cross_checks_householder_on_random_measures():
         t = orthogonal_completion(c)
         dense = t.T @ (nodes[:, None] * t)
         tri, _, _ = householder_tridiagonalize(0.5 * (dense + dense.T))
-        fixed, _ = gauge_fix(tri)
+        fixed = synthesis._jacobi_chain(tri.diagonal, tri.offdiagonal)
         np.testing.assert_allclose(via_lanczos.diagonal, fixed.diagonal, atol=1e-8)
         np.testing.assert_allclose(via_lanczos.offdiagonal, fixed.offdiagonal, atol=1e-8)
-
-
-def _breakdown_step(route):
-    """The step a route's Breakdown names, or None when it returns."""
-    try:
-        route()
-    except Breakdown as err:
-        return int(str(err).rsplit(" ", 1)[1])
-    return None
 
 
 def _assert_oracle_agrees(tri, diagonal, offdiagonal, diag_atol, off_rtol):
@@ -590,10 +539,10 @@ def _assert_oracle_agrees(tri, diagonal, offdiagonal, diag_atol, off_rtol):
 def test_lanczos_agrees_with_reference_loop_and_pipeline(n, a, sigma):
     p = SimulationParams(n, a, sigma)
     e, c = log_spectrum(p).energies, riemann_amplitudes(p).amplitudes
-    step = _breakdown_step(lambda: lanczos_reference(e, c))
+    step = _breakdown_index(lambda: lanczos_reference(e, c))
     if step is not None:
         # a = 0.05 at sigma >= 20: the weight beyond site 0 is below the floor
-        with pytest.raises(Breakdown, match=f"at step {step}$"):
+        with pytest.raises(DisconnectedChain, match=f"J_{step} "):
             lanczos_synthesis(e, c)
         with pytest.raises(DisconnectedChain, match=f"J_{step} "):
             synthesize(p)
@@ -652,9 +601,9 @@ def test_lanczos_breaks_down_after_the_heavy_nodes():
     # three nodes carry all but 7e-40 of the weight, so J_2 ~ 1e-18 is the first below the floor
     nodes = np.linspace(0.0, 1.0, 10)
     amps = np.array([0.6, 0.5, 0.4] + [1e-20] * 7)
-    with pytest.raises(Breakdown, match="at step 2$"):
+    with pytest.raises(DisconnectedChain, match="J_2 "):
         lanczos_reference(nodes, amps)
-    with pytest.raises(Breakdown, match="at step 2$"):
+    with pytest.raises(DisconnectedChain, match="J_2 "):
         lanczos_synthesis(nodes, amps)
 
 
@@ -693,6 +642,27 @@ def test_lanczos_input_validation():
         lanczos_synthesis(np.array([1.0, 2.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["nodes", "weights"])
+def test_lanczos_refuses_a_non_finite_measure_before_allocating(where, bad, monkeypatch):
+    # NaN passes both "distinct" and "positive" comparisons, and one inf node is distinct
+    def no_allocation(n):
+        raise AssertionError("reached the size check with a non-finite measure")
+
+    monkeypatch.setattr(synthesis, "_check_dense_fits", no_allocation)
+    measure = {"nodes": np.array([0.0, 1.0, 2.0]), "weights": np.full(3, 0.5)}
+    measure[where][1] = bad
+    with pytest.raises(ValidationError, match=f"{where} must be finite"):
+        lanczos_synthesis(measure["nodes"], measure["weights"])
+
+
+@pytest.mark.parametrize("bad,shown", [(-1e-13, "1.000e-13"), (-math.inf, "inf"), (math.nan, "nan")])
+def test_jacobi_chain_names_the_first_bad_hopping(bad, shown):
+    # J_2 = 0 is below the floor too, but J_1 comes first
+    with pytest.raises(DisconnectedChain, match=f"^hopping J_1 = {shown} collapsed below 1e-12$"):
+        synthesis._jacobi_chain(np.zeros(4), np.array([-0.5, bad, 0.0]))
+
+
 # sigma = 60 at a = 0.1 puts all but ~1e-62 of the weight on site 0,
 # so the first hopping is 1.374e-31, below the 1e-12 floor of both routes
 BREAKDOWN_PARAMS = SimulationParams(30, 0.1, 60.0)
@@ -704,7 +674,7 @@ def test_synthesize_reports_disconnected_chain():
 
 
 def test_lanczos_breaks_down_at_step_0():
-    with pytest.raises(Breakdown, match="at step 0"):
+    with pytest.raises(DisconnectedChain, match="J_0 "):
         lanczos_synthesis(log_spectrum(BREAKDOWN_PARAMS), riemann_amplitudes(BREAKDOWN_PARAMS))
 
 

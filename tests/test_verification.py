@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from zetachain import synthesis
 from zetachain import (
     DimensionMismatch,
     SimulationParams,
     SymmetricTridiagonal,
     eigh_tridiagonal,
-    gauge_fix,
     log_spectrum,
     riemann_amplitudes,
     synthesize,
@@ -104,9 +104,11 @@ def test_first_eigenvector_row_equals_amplitudes():
 
 
 def test_gauge_invariance_of_eigendata():
+    # the property that lets both synthesis routes take |J|
     diag = np.array([0.3, -0.1, 0.8, 1.4])
     tri = SymmetricTridiagonal(diag, np.array([0.5, -0.4, 0.2]))
-    fixed, _ = gauge_fix(tri)
+    fixed = synthesis._jacobi_chain(diag, tri.offdiagonal)
+    np.testing.assert_array_equal(fixed.offdiagonal, [0.5, 0.4, 0.2])
     dec_a = eigh_tridiagonal(tri)
     dec_b = eigh_tridiagonal(fixed)
     np.testing.assert_allclose(dec_a.eigenvalues, dec_b.eigenvalues, atol=1e-12)
