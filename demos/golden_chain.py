@@ -26,7 +26,7 @@ params = SimulationParams(n_levels=5, a=0.5, sigma=2.0)
 
 spectrum = log_spectrum(params)
 print("target spectrum ln(n + a):")
-print(spectrum.energies, "\n")
+print(spectrum, "\n")
 
 amps = riemann_amplitudes(params)
 print("ground-site overlaps C_n (unit norm):")

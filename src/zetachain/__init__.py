@@ -8,7 +8,6 @@ the chain to spin-chain or curved waveguide-array hardware parameters.
 from .core import (
     AmplitudeVector,
     SimulationParams,
-    Spectrum,
     log_spectrum,
     riemann_amplitudes,
 )

@@ -17,7 +17,6 @@ from .errors import ValidationError
 
 __all__ = [
     "SimulationParams",
-    "Spectrum",
     "AmplitudeVector",
     "log_spectrum",
     "riemann_amplitudes",
@@ -53,21 +52,6 @@ class SimulationParams:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Ascending eigenvalue targets ln(n + a), n = 0..N-1, in units hbar*omega."""
-
-    energies: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
-        object.__setattr__(self, "energies", e)
-        if e.ndim != 1 or e.size < 1:
-            raise ValidationError("spectrum must be a nonempty 1-d array")
-        if e.size > 1 and not np.all(np.diff(e) > 0):
-            raise ValidationError("spectrum must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class AmplitudeVector:
     """Unit-norm ground-site overlaps C_n proportional to (n+a)**(-sigma/2)."""
 
@@ -80,10 +64,10 @@ class AmplitudeVector:
             raise ValidationError("amplitudes must be a nonempty 1-d array")
 
 
-def log_spectrum(params: SimulationParams) -> Spectrum:
-    """Return the logarithmic spectrum [ln(a), ln(1+a), ..., ln(N-1+a)]."""
+def log_spectrum(params: SimulationParams) -> np.ndarray:
+    """Return the eigenvalue targets [ln(a), ln(1+a), ..., ln(N-1+a)] in units hbar*omega."""
     n = np.arange(params.n_levels, dtype=float)
-    return Spectrum(np.log(n + params.a))
+    return np.log(n + params.a)
 
 
 def riemann_amplitudes(params: SimulationParams) -> AmplitudeVector:

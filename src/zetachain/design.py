@@ -38,7 +38,7 @@ class SpinChainParams:
 
     couplings: np.ndarray = field(repr=False)
     fields: np.ndarray = field(repr=False)
-    dropped_constant: float = 0.0
+    dropped_constant: float
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class WaveguideDesign:
     x: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     detunings: np.ndarray = field(repr=False)
-    fab: FabricationConstants = None
+    fab: FabricationConstants
 
     def couplings(self) -> np.ndarray:
         """Hopping rates rebuilt from the spacings (round-trip check)."""

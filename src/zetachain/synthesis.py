@@ -79,21 +79,28 @@ class SymmetricTridiagonal:
         return h
 
 
-def _unwrap(x, name: str) -> np.ndarray:
-    """The `name` array of a Spectrum or AmplitudeVector, or x itself, as floats."""
-    return np.asarray(getattr(x, name, x), dtype=float)
+def _unwrap(x) -> np.ndarray:
+    """The amplitudes of an AmplitudeVector, or x itself, as floats.
 
-
-def _completion_order(c: np.ndarray):
-    """Candidate order of the Gram-Schmidt completion of a unit C, C[order] and its tails.
-
-    Gram-Schmidt runs over the ordered candidates {C, e_0, e_1, ..., e_{N-1}}
-    and skips the single candidate whose residual collapses (dimension
-    counting guarantees exactly one skip).  The skipped index keeps its
-    weight in every later tail, which is the skip-free formula with that
-    index moved to the end.  Returns (order, C[order], r) with tail norms
-    r_k = |C[order][k:]|.
+    Kept while callers outside the package, perfbench among them, hand
+    riemann_amplitudes() results to the chain builders as they are.
     """
+    return np.asarray(getattr(x, "amplitudes", x), dtype=float)
+
+
+def orthogonal_completion(amplitudes) -> np.ndarray:
+    """Complete a unit vector to an orthonormal basis with it as first column.
+
+    Gram-Schmidt over the ordered candidates {C, e_0, e_1, ..., e_{N-1}},
+    evaluated in closed form.  Dimension counting guarantees that exactly
+    one candidate's residual collapses and is skipped; the skipped index
+    keeps its weight in every later tail, which is the skip-free formula
+    with that index moved to the end.  In that order, with tail norms
+    r_k = |C_{k:}|, candidate e_k leaves the residual
+    e_k - C_k C_{k:} / r_k**2 of norm r_{k+1} / r_k, so column k+1 is
+    r_{k+1} / r_k at row k and -C_i C_k / (r_k r_{k+1}) at rows i > k.
+    """
+    c = _unwrap(amplitudes)
     n = c.size
     # a NaN norm passes the comparison, so finiteness is checked on its own
     if not np.isfinite(c).all() or abs(np.linalg.norm(c) - 1.0) > 1e-10:
@@ -106,22 +113,7 @@ def _completion_order(c: np.ndarray):
     skip = int(np.argmax(collapsed)) if collapsed.any() else n - 1
     order = np.r_[0:skip, skip + 1 : n, skip]
     cp = c[order]
-    return order, cp, np.hypot.accumulate(np.abs(cp[::-1]))[::-1]
-
-
-def orthogonal_completion(amplitudes) -> np.ndarray:
-    """Complete a unit vector to an orthonormal basis with it as first column.
-
-    Gram-Schmidt over the ordered candidates {C, e_0, e_1, ..., e_{N-1}},
-    skipping the one whose residual collapses, evaluated in closed form.
-    With tail norms r_k = |C_{k:}|, candidate e_k leaves the residual
-    e_k - C_k C_{k:} / r_k**2 of norm r_{k+1} / r_k, so column k+1 is
-    r_{k+1} / r_k at row k and -C_i C_k / (r_k r_{k+1}) at rows i > k, in
-    the order of _completion_order.
-    """
-    c = _unwrap(amplitudes, "amplitudes")
-    n = c.size
-    order, cp, r = _completion_order(c)
+    r = np.hypot.accumulate(np.abs(cp[::-1]))[::-1]
     q = np.empty((n, n))
     q[:, 0] = cp
     # below the diagonal both factors of -(C_i / r_{k+1}) (C_k / r_k) are <= 1 in
@@ -137,7 +129,7 @@ def orthogonal_completion(amplitudes) -> np.ndarray:
 
 def similarity_transform(spectrum, basis: np.ndarray) -> np.ndarray:
     """Conjugate the diagonal seed into the new basis: T^T diag(E) T."""
-    e = _unwrap(spectrum, "energies")
+    e = np.asarray(spectrum, dtype=float)
     t = np.asarray(basis, dtype=float)
     if t.shape != (e.size, e.size):
         raise DimensionMismatch(f"basis shape {t.shape} incompatible with {e.size} energies")
@@ -180,15 +172,12 @@ def householder_tridiagonalize(dense: np.ndarray):
         block = packed[1:, :-1]
         lwork = int(lapack.dorgqr(block, tau, lwork=-1)[1][0])
         q[1:, 1:] = lapack.dorgqr(block, tau, lwork=lwork)[0]
-    reflectors = []
-    for k in range(n - 2):
-        if tau[k] == 0.0:
-            reflectors.append(None)
-            continue
-        v = np.zeros(n)
-        v[k + 1] = 1.0
-        v[k + 2 :] = packed[k + 2 :, k]
-        reflectors.append(v / np.linalg.norm(v))
+    # reflector k is column k: the vector packed below row k + 1 under a unit pivot
+    m = max(n - 2, 0)
+    v = np.tril(packed[:, :m], -2)
+    v[np.arange(1, m + 1), np.arange(m)] = 1.0
+    v /= np.linalg.norm(v, axis=0)
+    reflectors = [None if t == 0.0 else u for t, u in zip(tau, v.T)]
     return SymmetricTridiagonal(d, e), q, reflectors
 
 
@@ -285,7 +274,7 @@ def synthesize(params: SimulationParams) -> SymmetricTridiagonal:
     """
     n = params.n_levels
     _check_dense_fits(n)
-    energies = log_spectrum(params).energies
+    energies = log_spectrum(params)
     amplitudes = riemann_amplitudes(params).amplitudes
     return _jacobi_chain(*_rkpw(energies, amplitudes))
 
@@ -303,8 +292,8 @@ def lanczos_synthesis(energies, amplitudes) -> SymmetricTridiagonal:
     that are not finite and distinct or weights that are not finite and
     positive, and DisconnectedChain as synthesize() does.
     """
-    e = _unwrap(energies, "energies")
-    c = _unwrap(amplitudes, "amplitudes")
+    e = np.asarray(energies, dtype=float)
+    c = _unwrap(amplitudes)
     n = e.size
     if c.size != n:
         raise DimensionMismatch(f"{c.size} amplitudes for {n} nodes")

@@ -94,7 +94,7 @@ def verify_synthesis(
         if not (math.isfinite(tol) and tol > 0.0):
             raise ValidationError(f"{name} must be positive and finite, got {tol}")
     dec = eigh_tridiagonal(tri)
-    target = log_spectrum(params).energies
+    target = log_spectrum(params)
     amps = riemann_amplitudes(params).amplitudes
     err_lambda = float(np.abs(dec.eigenvalues - target).max())
     err_overlap = float(np.abs(np.abs(dec.eigenvectors[0, :]) - amps).max())

@@ -14,16 +14,16 @@ from zetachain import (
 def test_log_spectrum_golden_n5():
     p = SimulationParams(5, 0.5, 2.0)
     expected = np.log(np.array([0.5, 1.5, 2.5, 3.5, 4.5]))
-    np.testing.assert_allclose(log_spectrum(p).energies, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(log_spectrum(p), expected, rtol=0, atol=1e-15)
     np.testing.assert_allclose(
-        log_spectrum(p).energies, [-0.6931, 0.4055, 0.9163, 1.2528, 1.5041], atol=1e-4
+        log_spectrum(p), [-0.6931, 0.4055, 0.9163, 1.2528, 1.5041], atol=1e-4
     )
 
 
 def test_log_spectrum_trivial():
-    assert log_spectrum(SimulationParams(1, 1.0, 2.0)).energies.tolist() == [0.0]
+    assert log_spectrum(SimulationParams(1, 1.0, 2.0)).tolist() == [0.0]
     np.testing.assert_allclose(
-        log_spectrum(SimulationParams(3, 1.0, 2.0)).energies,
+        log_spectrum(SimulationParams(3, 1.0, 2.0)),
         [0.0, math.log(2.0), math.log(3.0)],
         atol=1e-15,
     )
@@ -105,5 +105,5 @@ def test_spectrum_strictly_increasing(n):
     rng = np.random.default_rng(7)
     for _ in range(10):
         a = rng.uniform(0.05, 1.0)
-        e = log_spectrum(SimulationParams(n, a, 2.0)).energies
+        e = log_spectrum(SimulationParams(n, a, 2.0))
         assert np.all(np.diff(e) > 0.0)

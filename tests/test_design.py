@@ -8,9 +8,11 @@ from zetachain import (
     CouplingTooStrong,
     FabricationConstants,
     SimulationParams,
+    SpinChainParams,
     SymmetricTridiagonal,
     TiltInfeasible,
     ValidationError,
+    WaveguideDesign,
     feasibility_report,
     spin_chain_params,
     synthesize,
@@ -40,6 +42,16 @@ def test_spin_chain_single_site():
     chain = spin_chain_params(tri)
     assert chain.couplings.size == 0
     assert chain.fields.tolist() == [0.3]
+
+
+def test_result_types_require_every_field():
+    # a default constant would be wrong for any chain with sum(B) != 0, and a
+    # design without fabrication constants cannot rebuild its couplings
+    with pytest.raises(TypeError, match="dropped_constant"):
+        SpinChainParams(couplings=np.empty(0), fields=np.array([0.3]))
+    arrays = {name: np.zeros(2) for name in ("spacings", "angles", "x", "y", "detunings")}
+    with pytest.raises(TypeError, match="fab"):
+        WaveguideDesign(**arrays)
 
 
 def test_fabrication_constants_validation():

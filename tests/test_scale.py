@@ -36,5 +36,8 @@ def test_verify_passes_at_scale():
 @pytest.mark.parametrize("demo", sorted((REPO / "demos").glob("*.py")), ids=lambda path: path.stem)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300)
+    # a RuntimeWarning is an error here, as pyproject.toml makes it for the in-process tests
+    argv = [sys.executable, "-W", "error::RuntimeWarning", str(demo)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -219,7 +219,7 @@ def test_similarity_matches_golden():
 def test_similarity_identity_basis():
     d = log_spectrum(SimulationParams(4, 1.0, 2.0))
     np.testing.assert_allclose(
-        similarity_transform(d, np.eye(4)), np.diag(d.energies), atol=1e-15
+        similarity_transform(d, np.eye(4)), np.diag(d), atol=1e-15
     )
 
 
@@ -228,7 +228,7 @@ def test_similarity_preserves_eigenvalues():
     t = orthogonal_completion(riemann_amplitudes(SimulationParams(9, 0.7, 1.8)))
     hp = similarity_transform(d, t)
     assert np.abs(hp - hp.T).max() < 1e-13
-    np.testing.assert_allclose(np.linalg.eigvalsh(hp), d.energies, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.eigvalsh(hp), d, atol=1e-12)
 
 
 def test_similarity_dimension_mismatch():
@@ -247,13 +247,12 @@ def _stepwise_chain(p):
     return synthesis._jacobi_chain(d, e)
 
 
-def _breakdown_index(route):
-    """The k of the hopping J_k that a route's DisconnectedChain names, or None when it returns."""
+def _breakdown_or_chain(route):
+    """(k, None) when a route raises DisconnectedChain naming the hopping J_k, else (None, what it built)."""
     try:
-        route()
+        return None, route()
     except DisconnectedChain as err:
-        return int(re.search(r"J_(\d+) ", str(err)).group(1))
-    return None
+        return int(re.search(r"J_(\d+) ", str(err)).group(1)), None
 
 
 # Measured worst gaps on this grid: diagonal 4.9e-16 * N absolute (N = 5, a = 1,
@@ -264,13 +263,12 @@ def _breakdown_index(route):
 @pytest.mark.parametrize("n", [2, 5, 64, 200, 1000])
 def test_seed_matches_similarity_route_on_riemann_grid(n, a, sigma):
     p = SimulationParams(n, a, sigma)
-    k = _breakdown_index(lambda: synthesize(p))
+    k, tri = _breakdown_or_chain(lambda: synthesize(p))
+    k_reference, reference = _breakdown_or_chain(lambda: _stepwise_chain(p))
+    # a = 0.05 at sigma >= 20: the weight beyond site 0 is below the floor
+    assert k_reference == k
     if k is not None:
-        # a = 0.05 at sigma >= 20: the weight beyond site 0 is below the floor
-        with pytest.raises(DisconnectedChain, match=f"J_{k} "):
-            _stepwise_chain(p)
         return
-    tri, reference = synthesize(p), _stepwise_chain(p)
     np.testing.assert_allclose(tri.diagonal, reference.diagonal, rtol=0, atol=5e-15 * n)
     np.testing.assert_allclose(tri.offdiagonal, reference.offdiagonal, rtol=5e-14 * n, atol=0)
 
@@ -372,7 +370,7 @@ def test_householder_matches_loop_reference(name):
 def _bordered(p):
     """The bordered matrix [[0, C^T], [C, diag(E)]] of the parameters p."""
     c = riemann_amplitudes(p).amplitudes
-    return np.block([[np.zeros((1, 1)), c[None, :]], [c[:, None], np.diag(log_spectrum(p).energies)]])
+    return np.block([[np.zeros((1, 1)), c[None, :]], [c[:, None], np.diag(log_spectrum(p))]])
 
 
 # lanczos_synthesis runs dsytrd at every N; N = 1000 is past dsytrd's crossover
@@ -415,20 +413,17 @@ def test_numpy_route_matches_lapack_and_rkpw_on_riemann_grid(n, a, sigma):
     # synthesize runs RKPW in numpy; both references run LAPACK dsytrd, on the
     # bordered matrix and on the stepwise route's dense seed
     p = SimulationParams(n, a, sigma)
-    e, c = log_spectrum(p).energies, riemann_amplitudes(p).amplitudes
+    e, c = log_spectrum(p), riemann_amplitudes(p).amplitudes
     # a weight C_n**2 may underflow (a = 0.01 and 0.05 at sigma = 200), its root may not
     assert (c > 0.0).all()
     routes = {"bordered_dsytrd": lambda: lanczos_synthesis(e, c), "stepwise": lambda: _stepwise_chain(p)}
-    k = _breakdown_index(lambda: synthesize(p))
-    for route in routes.values():
-        assert _breakdown_index(route) == k
-    if k is not None:
-        return
-    chain = synthesize(p)
+    k, chain = _breakdown_or_chain(lambda: synthesize(p))
     for name, route in routes.items():
-        reference = route()
-        diag_atol, off_rtol = SHORT_CHAIN_BOUNDS[name]
-        _assert_oracle_agrees(chain, reference.diagonal, reference.offdiagonal, diag_atol * n, off_rtol * n)
+        k_reference, reference = _breakdown_or_chain(route)
+        assert k_reference == k
+        if k is None:
+            diag_atol, off_rtol = SHORT_CHAIN_BOUNDS[name]
+            _assert_oracle_agrees(chain, reference.diagonal, reference.offdiagonal, diag_atol * n, off_rtol * n)
 
 
 def test_size_guard_names_largest_feasible_n(monkeypatch):
@@ -473,7 +468,7 @@ def test_synthesize_two_site_closed_form():
     # 2x2 inverse eigenvalue algebra: b0 = sum w_n lam_n,
     # j = sqrt(sum w_n lam_n^2 - b0^2), b1 = lam_0 + lam_1 - b0
     p = SimulationParams(2, 1.0, 2.0)
-    lam = log_spectrum(p).energies
+    lam = log_spectrum(p)
     w = riemann_amplitudes(p).amplitudes ** 2
     b0 = float(w @ lam)
     j = math.sqrt(float(w @ lam**2) - b0 * b0)
@@ -489,7 +484,7 @@ def test_synthesize_spectrum_and_overlap_fidelity(n, a, sigma):
     p = SimulationParams(n, a, sigma)
     tri = synthesize(p)
     lam, vec = np.linalg.eigh(tri.to_dense())
-    np.testing.assert_allclose(lam, log_spectrum(p).energies, atol=1e-9 * n)
+    np.testing.assert_allclose(lam, log_spectrum(p), atol=1e-9 * n)
     np.testing.assert_allclose(
         np.abs(vec[0, :]), riemann_amplitudes(p).amplitudes, atol=1e-9
     )
@@ -538,8 +533,8 @@ def _assert_oracle_agrees(tri, diagonal, offdiagonal, diag_atol, off_rtol):
 @pytest.mark.parametrize("n", [1, 2, 5, 64, 200, 1000])
 def test_lanczos_agrees_with_reference_loop_and_pipeline(n, a, sigma):
     p = SimulationParams(n, a, sigma)
-    e, c = log_spectrum(p).energies, riemann_amplitudes(p).amplitudes
-    step = _breakdown_index(lambda: lanczos_reference(e, c))
+    e, c = log_spectrum(p), riemann_amplitudes(p).amplitudes
+    step, reference = _breakdown_or_chain(lambda: lanczos_reference(e, c))
     if step is not None:
         # a = 0.05 at sigma >= 20: the weight beyond site 0 is below the floor
         with pytest.raises(DisconnectedChain, match=f"J_{step} "):
@@ -549,7 +544,7 @@ def test_lanczos_agrees_with_reference_loop_and_pipeline(n, a, sigma):
         return
     tri = lanczos_synthesis(e, c)
     diag_atol, off_rtol = 2e-15 * n, 2e-14 * n
-    _assert_oracle_agrees(tri, *lanczos_reference(e, c), diag_atol, off_rtol)
+    _assert_oracle_agrees(tri, *reference, diag_atol, off_rtol)
     pipeline = synthesize(p)
     _assert_oracle_agrees(tri, pipeline.diagonal, pipeline.offdiagonal, diag_atol, off_rtol)
 
@@ -583,7 +578,7 @@ RANDOM_MEASURES = {
     ),
     # measured 8.5e-14: the Riemann measure, largest node first
     "riemann_reversed_200": (
-        log_spectrum(_RIEMANN_200).energies[::-1].copy(),
+        log_spectrum(_RIEMANN_200)[::-1].copy(),
         riemann_amplitudes(_RIEMANN_200).amplitudes[::-1].copy(),
         1e-12,
     ),
