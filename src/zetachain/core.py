@@ -53,15 +53,14 @@ class SimulationParams:
 
 @dataclass(frozen=True)
 class AmplitudeVector:
-    """Unit-norm ground-site overlaps C_n proportional to (n+a)**(-sigma/2)."""
+    """Unit-norm ground-site overlaps C_n proportional to (n+a)**(-sigma/2); numpy reads it as that array."""
 
     amplitudes: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        c = np.asarray(self.amplitudes, dtype=float)
-        object.__setattr__(self, "amplitudes", c)
-        if c.ndim != 1 or c.size < 1:
-            raise ValidationError("amplitudes must be a nonempty 1-d array")
+    def __array__(self, dtype=None, copy=None):
+        if copy is None:  # numpy 1.x's np.array refuses copy=None
+            return np.asarray(self.amplitudes, dtype=dtype)
+        return np.array(self.amplitudes, dtype=dtype, copy=copy)
 
 
 def log_spectrum(params: SimulationParams) -> np.ndarray:

@@ -79,15 +79,6 @@ class SymmetricTridiagonal:
         return h
 
 
-def _unwrap(x) -> np.ndarray:
-    """The amplitudes of an AmplitudeVector, or x itself, as floats.
-
-    Kept while callers outside the package, perfbench among them, hand
-    riemann_amplitudes() results to the chain builders as they are.
-    """
-    return np.asarray(getattr(x, "amplitudes", x), dtype=float)
-
-
 def orthogonal_completion(amplitudes) -> np.ndarray:
     """Complete a unit vector to an orthonormal basis with it as first column.
 
@@ -100,7 +91,7 @@ def orthogonal_completion(amplitudes) -> np.ndarray:
     e_k - C_k C_{k:} / r_k**2 of norm r_{k+1} / r_k, so column k+1 is
     r_{k+1} / r_k at row k and -C_i C_k / (r_k r_{k+1}) at rows i > k.
     """
-    c = _unwrap(amplitudes)
+    c = np.asarray(amplitudes, dtype=float)
     n = c.size
     # a NaN norm passes the comparison, so finiteness is checked on its own
     if not np.isfinite(c).all() or abs(np.linalg.norm(c) - 1.0) > 1e-10:
@@ -137,19 +128,18 @@ def similarity_transform(spectrum, basis: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-def _tridiagonalize(dense: np.ndarray, overwrite: bool = False):
+def _tridiagonalize(a: np.ndarray):
     """LAPACK dsytrd on the lower triangle: (packed reflectors, diagonal, off-diagonal, tau).
 
-    With overwrite, a Fortran-ordered float array is reduced in place, without a copy.
+    Reduces a Fortran-ordered float array in place, without a copy.
     """
     from scipy.linalg import lapack  # imported here so that `import zetachain` stays light
 
-    a = np.asarray(dense, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
-    packed, d, e, tau, _ = lapack.dsytrd(a, lower=1, lwork=lwork, overwrite_a=overwrite)
+    packed, d, e, tau, _ = lapack.dsytrd(a, lower=1, lwork=lwork, overwrite_a=True)
     return packed, d, e, tau
 
 
@@ -163,7 +153,7 @@ def householder_tridiagonalize(dense: np.ndarray):
     """
     from scipy.linalg import lapack
 
-    packed, d, e, tau = _tridiagonalize(dense)
+    packed, d, e, tau = _tridiagonalize(np.array(dense, dtype=float, order="F"))
     n = d.size
     # the reflectors act on rows 1.. only, so Q = diag(1, Q') and Q' is the
     # QR-convention product of the vectors packed below the subdiagonal
@@ -293,7 +283,7 @@ def lanczos_synthesis(energies, amplitudes) -> SymmetricTridiagonal:
     positive, and DisconnectedChain as synthesize() does.
     """
     e = np.asarray(energies, dtype=float)
-    c = _unwrap(amplitudes)
+    c = np.asarray(amplitudes, dtype=float)
     n = e.size
     if c.size != n:
         raise DimensionMismatch(f"{c.size} amplitudes for {n} nodes")
@@ -310,5 +300,5 @@ def lanczos_synthesis(energies, amplitudes) -> SymmetricTridiagonal:
     h = np.zeros((n + 1, n + 1), order="F")
     h[1:, 0] = c
     np.fill_diagonal(h[1:, 1:], e)
-    _, d, off, _ = _tridiagonalize(h, overwrite=True)
+    _, d, off, _ = _tridiagonalize(h)
     return _jacobi_chain(d[1:], off[1:])

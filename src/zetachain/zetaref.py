@@ -93,8 +93,9 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
 
     M explicit terms, integral term (M+a)**(1-s)/(s-1), half-term, and
     Bernoulli corrections through B_6; M is chosen so the first neglected
-    correction is below 1e-12 relative.  Restricted to finite s with
-    Re s > 1 (with a small guard band), M <= 10**7 and a finite value.
+    (B_8) correction is below 1e-13 in absolute value.  Restricted to
+    finite s with Re s > 1 (with a small guard band), M <= 10**7 and a
+    finite value.
     """
     _check_a(a)
     s = complex(s)

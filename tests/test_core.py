@@ -100,6 +100,17 @@ def test_amplitudes_keep_the_root_of_an_underflowing_weight():
     assert amps.amplitudes[1] == pytest.approx(101.0**-100, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_amplitude_vector_reads_as_its_float_array(n):
+    amps = riemann_amplitudes(SimulationParams(n, 0.5, 2.0))
+    c = np.asarray(amps)
+    assert c.dtype == np.float64 and c.shape == (n,)
+    np.testing.assert_array_equal(c, amps.amplitudes)
+    np.testing.assert_array_equal(np.asarray(amps, dtype=complex), amps.amplitudes)
+    # np.array copies unless told not to, so the record's array is never handed out to be written
+    assert not np.shares_memory(np.array(amps), amps.amplitudes)
+
+
 @pytest.mark.parametrize("n", [2, 17, 200])
 def test_spectrum_strictly_increasing(n):
     rng = np.random.default_rng(7)

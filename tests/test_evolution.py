@@ -85,6 +85,37 @@ def test_spectral_starts_at_one():
     assert np.abs(series.amplitudes).max() <= 1.0 + 1e-12
 
 
+# _clip_unit scales each excursion back by 1/|a|; that product and |a| itself
+# round, which left |a| at most 2 ulps above 1 over 1e6 random phases
+_CLIPPED_MAX = 1.0 + 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "grid", [TimeGrid(0.0, 20.0, 201), TimeGrid(-3.0, 10.0, 27, t_coh=4.2)], ids=["full", "cut_by_t_coh"]
+)
+@pytest.mark.parametrize("route", ["spectral", "ode"])
+def test_series_has_matching_shapes_complex_amplitudes_and_unit_bound(route, grid):
+    tri = synthesize(SimulationParams(40, 0.5, 1.5))
+    series = evolve_spectral(tri, grid) if route == "spectral" else evolve_ode(tri, grid)[1]
+    np.testing.assert_array_equal(series.times, grid.times())
+    assert series.times.dtype == np.float64
+    assert series.amplitudes.dtype == np.complex128
+    assert series.amplitudes.shape == series.times.shape
+    assert np.abs(series.amplitudes).max() <= _CLIPPED_MAX
+
+
+def test_clip_unit_scales_excursions_back_and_leaves_the_rest():
+    # both routes sum to |a| <= 1 up to a few ulps, so their inputs rarely reach the clip
+    rng = np.random.default_rng(11)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 1000))
+    over = (1.0 + 10.0 ** rng.uniform(-16.0, -6.0, 1000)) * phases
+    under = rng.uniform(0.0, 1.0, 1000) * phases
+    clipped = evolution._clip_unit(np.concatenate([over, under]))
+    assert np.abs(clipped).max() <= _CLIPPED_MAX
+    np.testing.assert_allclose(np.abs(clipped[:1000]), 1.0, rtol=0, atol=4 * np.finfo(float).eps)
+    np.testing.assert_array_equal(clipped[1000:], under)
+
+
 def test_spectral_single_stationary_site():
     # a = 1, N = 1: eigenvalue ln(1) = 0, so a(t) = 1 for all t
     series = evolve_spectral(synthesize(SimulationParams(1, 1.0, 2.0)), TimeGrid(0.0, 20.0, 41))

@@ -1,7 +1,9 @@
+import functools
 import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -547,6 +549,73 @@ def test_lanczos_agrees_with_reference_loop_and_pipeline(n, a, sigma):
     _assert_oracle_agrees(tri, *reference, diag_atol, off_rtol)
     pipeline = synthesize(p)
     _assert_oracle_agrees(tri, pipeline.diagonal, pipeline.offdiagonal, diag_atol, off_rtol)
+
+
+def _rkpw_mp(nodes, weights):
+    """Scalar RKPW in Gautschi's OPQ form (lanczos.m): site energies and squared couplings.
+
+    The first squared coupling is the total weight; the rest are the squared hoppings.
+    """
+    alpha, beta = list(nodes), [weights[0]] + [mpmath.mpf(0)] * (len(nodes) - 1)
+    for n in range(len(nodes) - 1):
+        pn, x, gam, sig, t = weights[n + 1], nodes[n + 1], mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+        for k in range(n + 2):
+            rho = beta[k] + pn
+            tmp, tsig = gam * rho, sig
+            gam, sig = (beta[k] / rho, pn / rho) if rho > 0 else (mpmath.mpf(1), mpmath.mpf(0))
+            tk = sig * (alpha[k] - x) - gam * t
+            alpha[k] -= tk - t
+            t = tk
+            pn = t * t / sig if sig > 0 else tsig * beta[k]
+            beta[k] = tmp
+    return alpha, beta
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_riemann_chain(n, a, sigma):
+    """The Riemann chain from exact nodes ln(n+a) and weights (a/(n+a))**sigma at 60 digits."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(a)
+        alpha, beta = _rkpw_mp([mpmath.log(k + x) for k in range(n)], [(x / (k + x)) ** sigma for k in range(n)])
+        return np.array([float(v) for v in alpha]), np.array([float(mpmath.sqrt(v)) for v in beta[1:]])
+
+
+# Worst gaps to the 60-digit chain, which matched a 120-digit one to the last
+# double, over these cases: hoppings relative, site energies relative to the
+# spectral width ln((N-1+a)/a), since B_n can come close to 0 at a < 1.  Each
+# worst gap is at N = 200, a = 1, sigma = 10.
+#   synthesize:        J 3.5e-13, B 6.7e-15
+#   lanczos_synthesis: J 1.9e-13, B 5.4e-15
+# Bounds (J, B) about 10x that.
+MPMATH_BOUNDS = {"synthesize": (3.5e-12, 7e-14), "lanczos_synthesis": (2e-12, 6e-14)}
+
+
+@pytest.mark.parametrize("route", sorted(MPMATH_BOUNDS))
+@pytest.mark.parametrize("n,a,sigma", [(64, 0.5, 20.0), (120, 0.5, 40.0), (200, 0.5, 2.0), (64, 0.05, 5.0), (200, 1.0, 10.0)])
+def test_both_routes_match_a_60_digit_rkpw_entrywise(route, n, a, sigma):
+    p = SimulationParams(n, a, sigma)
+    diagonal, hoppings = _mp_riemann_chain(n, a, sigma)
+    if route == "synthesize":
+        tri = synthesize(p)
+    else:
+        tri = lanczos_synthesis(log_spectrum(p), riemann_amplitudes(p))
+    hop_rtol, diag_rtol = MPMATH_BOUNDS[route]
+    assert (np.abs(tri.offdiagonal - hoppings) / hoppings).max() <= hop_rtol
+    assert np.abs(tri.diagonal - diagonal).max() / math.log((n - 1 + a) / a) <= diag_rtol
+
+
+@pytest.mark.parametrize(
+    "p",
+    [SimulationParams(1, 1.0, 2.0), SimulationParams(5, 0.5, 2.0), SimulationParams(64, 0.5, 20.0), SimulationParams(200, 1.0, 10.0)],
+    ids=lambda p: f"n{p.n_levels}",
+)
+def test_chain_builders_read_the_amplitude_record_as_its_array(p):
+    record = riemann_amplitudes(p)
+    np.testing.assert_array_equal(orthogonal_completion(record), orthogonal_completion(record.amplitudes))
+    e = log_spectrum(p)
+    from_record, from_array = lanczos_synthesis(e, record), lanczos_synthesis(e, record.amplitudes)
+    np.testing.assert_array_equal(from_record.diagonal, from_array.diagonal)
+    np.testing.assert_array_equal(from_record.offdiagonal, from_array.offdiagonal)
 
 
 _MEASURE_RNG = np.random.default_rng(5)
