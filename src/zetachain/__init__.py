@@ -15,7 +15,6 @@ from .design import (
     FabricationConstants,
     SpinChainParams,
     WaveguideDesign,
-    feasibility_report,
     spin_chain_params,
     waveguide_design_json,
     waveguide_layout,

@@ -1,9 +1,15 @@
 """Hardware export: spin-chain parameters and curved waveguide-array geometry.
 
-The tridiagonal Hamiltonian maps one-to-one onto the single-excitation
-sector of an XY spin chain (J_n couplings, B_n fields) and onto a chain
-of evanescently coupled waveguides where J_n = kappa * exp(-alpha * d_n)
-sets spacings and axis bending sets site-energy gradients.
+The spin export is the XY chain with local fields
+
+    H = sum_n J_n (s+_n s-_{n+1} + h.c.) + sum_n B_n s+_n s-_n
+      = sum_n (J_n/2)(X_n X_{n+1} + Y_n Y_{n+1}) + sum_n (B_n/2)(1 + Z_n),
+
+whose one-excitation block is exactly the tridiagonal chain, so its
+coefficients are the chain's J_n and B_n and no constant is dropped.
+The waveguide export is a chain of evanescently coupled guides where
+J_n = kappa * exp(-alpha * d_n) sets spacings and axis bending sets
+site-energy gradients.
 """
 
 from __future__ import annotations
@@ -23,22 +29,16 @@ __all__ = [
     "WaveguideDesign",
     "spin_chain_params",
     "waveguide_layout",
-    "feasibility_report",
     "waveguide_design_json",
 ]
 
 
 @dataclass(frozen=True)
 class SpinChainParams:
-    """Spin-spin couplings and local fields realizing the chain (units hbar*omega).
-
-    dropped_constant records the common diagonal term -sum(B_n) omitted in
-    the single-excitation identification.
-    """
+    """Couplings J_n and fields B_n of the XY chain in the module docstring (units hbar*omega)."""
 
     couplings: np.ndarray = field(repr=False)
     fields: np.ndarray = field(repr=False)
-    dropped_constant: float
 
 
 @dataclass(frozen=True)
@@ -93,46 +93,7 @@ def spin_chain_params(tri: SymmetricTridiagonal) -> SpinChainParams:
     return SpinChainParams(
         couplings=tri.offdiagonal.copy(),
         fields=tri.diagonal.copy(),
-        dropped_constant=float(-tri.diagonal.sum()),
     )
-
-
-def _geometry(tri: SymmetricTridiagonal, fab: FabricationConstants):
-    """Bond geometry and the first constraint it breaks: the one feasibility rule.
-
-    Returns (d, cos_theta, r_limits, violation): spacings, tilt cosines,
-    the largest R keeping each bond's tilt realizable, and the error
-    waveguide_layout raises (None when feasible).  R must also exceed the
-    paraxial bound 100 max d.  Couplings outside (0, kappa) give NaN arrays.
-    """
-    j = tri.offdiagonal
-    if j.size and not 0.0 < j.min() <= j.max() < fab.kappa:
-        k = int(np.argmax(j))
-        violation = ValidationError("all couplings must be strictly positive")
-        if j[k] >= fab.kappa:
-            violation = CouplingTooStrong(
-                f"J_{k} = {j[k]:.6g} >= kappa = {fab.kappa:.6g}; kappa must exceed {j[k]:.17g}"
-            )
-        nan = np.full(j.shape, np.nan)
-        return nan, nan, nan, violation
-    db = np.diff(tri.diagonal)
-    d = np.log(fab.kappa / j) / fab.alpha
-    cos_theta = db * fab.bend_radius * fab.lambda_bar / (fab.n_substrate * d)
-    with np.errstate(divide="ignore"):
-        r_limits = fab.n_substrate * d / (fab.lambda_bar * np.abs(db))
-    r_paraxial = 100.0 * d.max(initial=0.0)
-    bad = np.flatnonzero(np.abs(cos_theta) > 1.0)
-    violation = None
-    if fab.bend_radius <= r_paraxial:
-        violation = ValidationError(
-            f"bend radius {fab.bend_radius:.6g} too small for the paraxial picture; need R > {r_paraxial:.6g}"
-        )
-    elif bad.size:
-        k = int(bad[0])
-        violation = TiltInfeasible(
-            f"|cos theta_{k}| = {abs(cos_theta[k]):.6g} > 1; reduce bend radius to at most {r_limits[k]:.17g}"
-        )
-    return d, cos_theta, r_limits, violation
 
 
 def waveguide_layout(tri: SymmetricTridiagonal, fab: FabricationConstants) -> WaveguideDesign:
@@ -141,10 +102,34 @@ def waveguide_layout(tri: SymmetricTridiagonal, fab: FabricationConstants) -> Wa
     Spacings invert the exponential coupling law; tilt angles place the
     bend-induced detuning differences on the prescribed field gradient.
     Only energy differences are realized; the global offset is gauge.
+    Raises at the first broken constraint: every J_n in (0, kappa), R above
+    the paraxial bound 100 max d, then every tilt |cos theta_n| <= 1.
     """
-    d, cos_theta, _, violation = _geometry(tri, fab)
-    if violation is not None:
-        raise violation
+    j = tri.offdiagonal
+    if j.size and not 0.0 < j.min() <= j.max() < fab.kappa:
+        k = int(np.argmax(j))
+        if j[k] >= fab.kappa:
+            raise CouplingTooStrong(
+                f"J_{k} = {j[k]:.6g} >= kappa = {fab.kappa:.6g}; kappa must exceed {j[k]:.17g}"
+            )
+        raise ValidationError("all couplings must be strictly positive")
+    db = np.diff(tri.diagonal)
+    d = np.log(fab.kappa / j) / fab.alpha
+    r_paraxial = 100.0 * d.max(initial=0.0)
+    if fab.bend_radius <= r_paraxial:
+        raise ValidationError(
+            f"bend radius {fab.bend_radius:.6g} too small for the paraxial picture; need R > {r_paraxial:.6g}"
+        )
+    cos_theta = db * fab.bend_radius * fab.lambda_bar / (fab.n_substrate * d)
+    bad = np.flatnonzero(np.abs(cos_theta) > 1.0)
+    if bad.size:
+        # the largest R keeping every tilted bond realizable
+        tilted = db != 0.0
+        r_max = (fab.n_substrate * d[tilted] / (fab.lambda_bar * np.abs(db[tilted]))).min()
+        k = int(bad[0])
+        raise TiltInfeasible(
+            f"|cos theta_{k}| = {abs(cos_theta[k]):.6g} > 1; reduce bend radius to at most {r_max:.17g}"
+        )
     theta = np.arccos(cos_theta)
     n = tri.order
     x = np.zeros(n)
@@ -153,23 +138,6 @@ def waveguide_layout(tri: SymmetricTridiagonal, fab: FabricationConstants) -> Wa
     y[1:] = np.cumsum(d * np.sin(theta))
     detunings = fab.n_substrate * x / (fab.bend_radius * fab.lambda_bar)
     return WaveguideDesign(spacings=d, angles=theta, x=x, y=y, detunings=detunings, fab=fab)
-
-
-def feasibility_report(tri: SymmetricTridiagonal, fab: FabricationConstants) -> dict:
-    """Per-bond constraint margins and the verdict of waveguide_layout.
-
-    coupling margins are kappa - J_n (> 0 required); tilt margins are
-    1 - |cos theta_n| (>= 0 required, NaN without a geometry).
-    suggested_r_max is the largest bend radius keeping every tilt
-    realizable.  feasible is True exactly when waveguide_layout returns.
-    """
-    _, cos_theta, r_limits, violation = _geometry(tri, fab)
-    return {
-        "coupling_margins": fab.kappa - tri.offdiagonal,
-        "tilt_margins": 1.0 - np.abs(cos_theta),
-        "feasible": violation is None,
-        "suggested_r_max": float(r_limits.min(initial=np.inf)),
-    }
 
 
 def _fmt(value: float) -> str:

@@ -1,8 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+import zetachain
 from zetachain import (
     SimulationParams,
     ValidationError,
@@ -118,3 +120,12 @@ def test_spectrum_strictly_increasing(n):
         a = rng.uniform(0.05, 1.0)
         e = log_spectrum(SimulationParams(n, a, 2.0))
         assert np.all(np.diff(e) > 0.0)
+
+
+@pytest.mark.parametrize("layer", ["core", "synthesis", "verification", "evolution", "zetaref", "design"])
+def test_every_layer_export_resolves_and_is_reexported(layer):
+    # tools that wrap a layer walk its __all__, so a stale name breaks them all
+    mod = importlib.import_module(f"zetachain.{layer}")
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"zetachain.{layer}.__all__ names missing {name}"
+        assert getattr(zetachain, name, None) is getattr(mod, name), f"zetachain does not export {name}"

@@ -13,7 +13,6 @@ from zetachain import (
     TiltInfeasible,
     ValidationError,
     WaveguideDesign,
-    feasibility_report,
     spin_chain_params,
     synthesize,
     waveguide_design_json,
@@ -34,7 +33,40 @@ def test_spin_chain_identification():
     chain = spin_chain_params(GOLDEN_TRI)
     np.testing.assert_allclose(chain.couplings, [0.520, 0.445, 0.311, 0.198], atol=0)
     np.testing.assert_allclose(chain.fields, [-0.479, 0.701, 0.894, 1.062, 1.208], atol=0)
-    assert abs(chain.dropped_constant - (-GOLDEN_TRI.diagonal.sum())) < 1e-15
+
+
+def _embed(ops, n):
+    """Kronecker product placing each {site: 2x2 operator} on an n-site register."""
+    out = np.eye(1)
+    for site in range(n):
+        out = np.kron(out, ops.get(site, np.eye(2)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_spin_hamiltonian_one_excitation_block_is_the_chain(n):
+    # H = sum (J/2)(XX + YY) + sum (B/2)(1 + Z), the Hamiltonian design.py states
+    tri = synthesize(SimulationParams(n, 0.5, 2.0))
+    chain = spin_chain_params(tri)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    y = np.array([[0.0, -1j], [1j, 0.0]])
+    z = np.diag([1.0, -1.0])
+    up = np.array([[0.0, 1.0], [0.0, 0.0]])  # sigma+ raises into the Z = +1 excitation
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    h_ladder = np.zeros_like(h)
+    for k, j in enumerate(chain.couplings):
+        h += j / 2.0 * (_embed({k: x, k + 1: x}, n) + _embed({k: y, k + 1: y}, n))
+        hop = _embed({k: up, k + 1: up.T}, n)
+        h_ladder += j * (hop + hop.T)
+    for k, b in enumerate(chain.fields):
+        h += b / 2.0 * (np.eye(2**n) + _embed({k: z}, n))
+        h_ladder += b * _embed({k: up @ up.T}, n)
+    np.testing.assert_allclose(h, h_ladder, rtol=0, atol=1e-14)
+    # basis index of "site k excited, every other site down"
+    one = [(2**n - 1) - 2 ** (n - 1 - k) for k in range(n)]
+    rest = np.setdiff1d(np.arange(2**n), one)
+    np.testing.assert_allclose(h[np.ix_(one, one)], tri.to_dense(), rtol=0, atol=1e-14)
+    assert np.abs(h[np.ix_(rest, one)]).max(initial=0.0) <= 1e-14
 
 
 def test_spin_chain_single_site():
@@ -45,10 +77,10 @@ def test_spin_chain_single_site():
 
 
 def test_result_types_require_every_field():
-    # a default constant would be wrong for any chain with sum(B) != 0, and a
-    # design without fabrication constants cannot rebuild its couplings
-    with pytest.raises(TypeError, match="dropped_constant"):
-        SpinChainParams(couplings=np.empty(0), fields=np.array([0.3]))
+    # a chain without fields is no chain, and a design without fabrication
+    # constants cannot rebuild its couplings
+    with pytest.raises(TypeError, match="fields"):
+        SpinChainParams(couplings=np.empty(0))
     arrays = {name: np.zeros(2) for name in ("spacings", "angles", "x", "y", "detunings")}
     with pytest.raises(TypeError, match="fab"):
         WaveguideDesign(**arrays)
@@ -98,6 +130,9 @@ def test_layout_coupling_too_strong_names_minimum_kappa():
     with pytest.raises(CouplingTooStrong) as err:
         waveguide_layout(GOLDEN_TRI, weak)
     assert "0.52" in str(err.value)
+    # J_0 = kappa exactly would need zero spacing
+    with pytest.raises(CouplingTooStrong):
+        waveguide_layout(GOLDEN_TRI, FabricationConstants(0.520, 1.0, 300.0, 1e-3, 1.5))
 
 
 def test_layout_tilt_infeasible_names_corrective_radius():
@@ -113,53 +148,23 @@ def test_layout_tilt_infeasible_names_corrective_radius():
     waveguide_layout(GOLDEN_TRI, ok)
 
 
+def test_layout_tilt_names_the_binding_bond():
+    # bond 0 breaks its tilt first, but bond 2 (|dB| = 1) sets the lower radius
+    tri = SymmetricTridiagonal(np.array([0.0, 0.5, 0.6, 1.6]), np.full(3, 0.5))
+    with pytest.raises(TiltInfeasible) as err:
+        waveguide_layout(tri, FabricationConstants(2.0, 1.0, 1e5, 1e-3, 1.5))
+    msg = str(err.value)
+    assert msg.startswith("|cos theta_0|")
+    r_fix = float(msg.rsplit(" ", 1)[-1])
+    assert r_fix == pytest.approx(1.5 * math.log(4.0) / 1e-3, rel=1e-12)
+    design = waveguide_layout(tri, FabricationConstants(2.0, 1.0, r_fix * 0.999, 1e-3, 1.5))
+    np.testing.assert_allclose(design.field_differences(), np.diff(tri.diagonal), rtol=1e-12)
+
+
 def test_layout_rejects_unphysical_bend_radius():
     fab = FabricationConstants(2.0, 1.0, 10.0, 1e-3, 1.5)
     with pytest.raises(ValidationError):
         waveguide_layout(GOLDEN_TRI, fab)
-
-
-def test_feasibility_report_feasible_design():
-    report = feasibility_report(GOLDEN_TRI, FAB)
-    assert report["feasible"]
-    assert np.all(report["coupling_margins"] > 0.0)
-    assert np.all(report["tilt_margins"] > 0.0)
-    assert report["suggested_r_max"] > FAB.bend_radius
-
-
-def test_feasibility_report_zero_margin_at_argmax_bond():
-    fab = FabricationConstants(0.520, 1.0, 300.0, 1e-3, 1.5)
-    report = feasibility_report(GOLDEN_TRI, fab)
-    assert not report["feasible"]
-    assert report["coupling_margins"][0] == 0.0
-
-
-def test_feasibility_tilt_margin_monotone_in_radius():
-    margins = []
-    for r in (250.0, 500.0, 1000.0, 2500.0):
-        fab = FabricationConstants(2.0, 1.0, r, 1e-3, 1.5)
-        margins.append(feasibility_report(GOLDEN_TRI, fab)["tilt_margins"].min())
-    assert all(m1 > m2 for m1, m2 in zip(margins, margins[1:]))
-
-
-@pytest.mark.parametrize("kappa", [0.4, 0.52, 2.0, 5.0])
-@pytest.mark.parametrize("radius", [1.0, 100.0, 240.0, 300.0, 1000.0, 1e6])
-def test_feasibility_verdict_matches_layout(kappa, radius):
-    # R = 1 breaks the paraxial bound, R = 1e6 the tilt, kappa = 0.4 the coupling
-    fab = FabricationConstants(kappa, 1.0, radius, 1e-3, 1.5)
-    try:
-        waveguide_layout(GOLDEN_TRI, fab)
-        laid_out = True
-    except (CouplingTooStrong, TiltInfeasible, ValidationError):
-        laid_out = False
-    assert feasibility_report(GOLDEN_TRI, fab)["feasible"] is laid_out
-
-
-def test_feasibility_report_refuses_paraxial_violation():
-    # every tilt is realizable at R = 1, but R is below 100 max d
-    report = feasibility_report(GOLDEN_TRI, FabricationConstants(2.0, 1.0, 1.0, 1e-3, 1.5))
-    assert not report["feasible"]
-    assert np.all(report["tilt_margins"] > 0.0)
 
 
 def test_json_export_round_trips_at_full_precision():
