@@ -55,8 +55,6 @@ from .verification import (
     verify_synthesis,
 )
 from .zetaref import (
-    DomainPoint,
-    accessible_domain,
     hurwitz_zeta,
     n_min,
     tail_bound,

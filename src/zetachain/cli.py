@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import warnings
 
 import numpy as np
 
-from .core import SimulationParams
+from .core import SimulationParams, _check_count
 from .design import (
     FabricationConstants,
     _fmt,
@@ -30,7 +31,7 @@ from .errors import InfeasibleDesign, NumericalBreakdown, OutOfDomain, Validatio
 from .evolution import DEFAULT_STEP, TimeGrid, evolve_ode, evolve_spectral
 from .synthesis import SymmetricTridiagonal, synthesize
 from .verification import DEFAULT_TOL_OVERLAP, verify_synthesis
-from .zetaref import DEFAULT_N_CAP, accessible_domain, hurwitz_zeta
+from .zetaref import hurwitz_zeta, n_min
 
 # exception family -> exit code; 1 is reserved for a failed `verify`
 _EXIT_CODES = (
@@ -149,9 +150,17 @@ def cmd_domain(args) -> int:
         raise ValidationError(f"bad --sigmas value: {exc}")
     if not grid:
         raise ValidationError(f"--sigmas {args.sigmas!r} names no sigma")
-    points = accessible_domain(grid, t_coh=args.t_coh, n_cap=args.n_cap)
-    # t_max is finite or +inf, which _fmt writes as "inf"
-    rows = ((_fmt(p.sigma), _fmt(p.n_min), str(int(p.feasible)), _fmt(p.t_max)) for p in points)
+    if args.t_coh is not None and not args.t_coh > 0.0:
+        raise ValidationError(f"t_coh must be positive, got {args.t_coh}")
+    n_cap = _check_count("n_cap", args.n_cap)
+    # without a coherence cutoff the window is unbounded, which _fmt writes as "inf"
+    t_max = _fmt(math.inf if args.t_coh is None else args.t_coh)
+    rows = []
+    for sigma in grid:
+        # an N_min beyond the cap, or diverging as sigma -> 1+, is reported at the cap as infeasible
+        nm = n_min(sigma)
+        feasible = nm <= n_cap
+        rows.append((_fmt(sigma), _fmt(nm if feasible else n_cap), str(int(feasible)), t_max))
     _write_text(args.out, _csv(("sigma", "n_min", "feasible", "t_max"), rows))
     return 0
 
@@ -249,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.add_argument("--sigmas", default="2", help="comma-separated sigma grid")
     p.add_argument("--t-coh", type=float, default=None, dest="t_coh")
-    p.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP, dest="n_cap")
+    p.add_argument("--n-cap", type=int, default=10**6, dest="n_cap")
     p.set_defaults(func=cmd_domain)
 
     p = sub.add_parser("design", help="export spin-chain CSV or waveguide JSON")

@@ -23,6 +23,35 @@ __all__ = [
 ]
 
 
+# the largest integer every double holds exactly; counts become doubles in
+# np.arange(n, dtype=float), in n - 1 + a and in the 17-digit format
+_MAX_COUNT = 2**53
+
+
+def _check_count(name: str, value) -> int:
+    """value as an int, refusing anything but a positive integer up to 2**53 (an integral float counts)."""
+    try:
+        ok = 1 <= value <= _MAX_COUNT and value == int(value)
+    except (TypeError, ValueError):  # complex, or not a number at all
+        ok = False
+    if not ok:
+        raise ValidationError(f"{name} must be a positive integer no larger than 2**53, got {value}")
+    return int(value)
+
+
+def _check_a(a: float):
+    if not (0.0 < a <= 1.0):
+        raise ValidationError(f"a must lie in (0, 1], got {a}")
+
+
+def _check_sigma(sigma: float):
+    if not sigma > 1.0:
+        raise ValidationError(f"sigma must exceed 1, got {sigma}")
+    # at sigma = inf, n_min's limit 1 passes as feasible, and tail_bound gives nan or 0
+    if sigma == math.inf:
+        raise ValidationError(f"sigma must be finite, got {sigma}")
+
+
 @dataclass(frozen=True)
 class SimulationParams:
     """Defining quadruple of a simulation run.
@@ -39,16 +68,11 @@ class SimulationParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.n_levels) or int(self.n_levels) != self.n_levels or self.n_levels < 1:
-            raise ValidationError(f"n_levels must be a positive integer, got {self.n_levels}")
-        if not (0.0 < self.a <= 1.0):
-            raise ValidationError(f"a must lie in (0, 1], got {self.a}")
-        if not self.sigma > 1.0:
-            raise ValidationError(f"sigma must exceed 1 (series convergence), got {self.sigma}")
-        if not self.omega > 0.0:
-            raise ValidationError(f"omega must be positive, got {self.omega}")
-        if not (math.isfinite(self.sigma) and math.isfinite(self.omega)):
-            raise ValidationError(f"sigma and omega must be finite, got {self.sigma}, {self.omega}")
+        _check_count("n_levels", self.n_levels)
+        _check_a(self.a)
+        _check_sigma(self.sigma)
+        if not 0.0 < self.omega < math.inf:
+            raise ValidationError(f"omega must be positive and finite, got {self.omega}")
 
 
 @dataclass(frozen=True)

@@ -102,8 +102,10 @@ def waveguide_layout(tri: SymmetricTridiagonal, fab: FabricationConstants) -> Wa
     Spacings invert the exponential coupling law; tilt angles place the
     bend-induced detuning differences on the prescribed field gradient.
     Only energy differences are realized; the global offset is gauge.
-    Raises at the first broken constraint: every J_n in (0, kappa), R above
-    the paraxial bound 100 max d, then every tilt |cos theta_n| <= 1.
+    Raises at the first broken constraint: every J_n in (0, kappa), every
+    field step B_{n+1} - B_n finite, every spacing d_n positive with 100 d_n
+    finite, R above the paraxial bound 100 max d, then every tilt
+    |cos theta_n| <= 1.
     """
     j = tri.offdiagonal
     if j.size and not 0.0 < j.min() <= j.max() < fab.kappa:
@@ -113,9 +115,23 @@ def waveguide_layout(tri: SymmetricTridiagonal, fab: FabricationConstants) -> Wa
                 f"J_{k} = {j[k]:.6g} >= kappa = {fab.kappa:.6g}; kappa must exceed {j[k]:.17g}"
             )
         raise ValidationError("all couplings must be strictly positive")
-    db = np.diff(tri.diagonal)
-    d = np.log(fab.kappa / j) / fab.alpha
-    r_paraxial = 100.0 * d.max(initial=0.0)
+    # an overflow is refused below, bond by bond, rather than read as a tilt or radius bound
+    with np.errstate(over="ignore"):
+        db = np.diff(tri.diagonal)
+        d = np.log(fab.kappa / j) / fab.alpha
+        paraxial = 100.0 * d
+    bad = np.flatnonzero(~np.isfinite(db))
+    if bad.size:
+        k = int(bad[0])
+        raise ValidationError(f"bond {k}: field step B_{k + 1} - B_{k} overflows the double range")
+    bad = np.flatnonzero(~((0.0 < d) & (paraxial < np.inf)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValidationError(
+            f"bond {k}: spacing ln(kappa / J_{k}) / alpha = {d[k]:.6g} at J_{k} = {float(j[k])}"
+            " is not positive, or its paraxial radius 100 d overflows the double range"
+        )
+    r_paraxial = paraxial.max(initial=0.0)
     if fab.bend_radius <= r_paraxial:
         raise ValidationError(
             f"bend radius {fab.bend_radius:.6g} too small for the paraxial picture; need R > {r_paraxial:.6g}"

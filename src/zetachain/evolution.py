@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _check_count
 from .errors import StepTooLarge, ValidationError
 from .synthesis import SymmetricTridiagonal
 from .verification import eigh_tridiagonal
@@ -55,7 +56,7 @@ class TimeGrid:
             raise ValidationError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
         if not math.isfinite(self.t_end - self.t_start):
             raise ValidationError(f"window length t_end - t_start overflows, got [{self.t_start}, {self.t_end}]")
-        if self.n_points < 2:
+        if _check_count("n_points", self.n_points) < 2:
             raise ValidationError(f"n_points must be >= 2, got {self.n_points}")
         if self.t_coh is not None and not (self.t_coh > 0.0 and self.t_coh >= self.t_start):
             raise ValidationError(f"t_coh must be positive and not before t_start = {self.t_start}, got {self.t_coh}")

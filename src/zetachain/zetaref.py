@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_a, _check_count, _check_sigma
 from .errors import OutOfDomain, ValidationError
 
 __all__ = [
     "hurwitz_zeta",
     "n_min",
     "tail_bound",
-    "DomainPoint",
-    "accessible_domain",
 ]
 
 # guard band below which the Euler-Maclaurin oracle refuses to evaluate
@@ -34,39 +32,12 @@ _B8_OVER_8F = 1.0 / 1209600.0
 # the oracle refuses an |s| that needs more explicit terms than this
 _EM_MAX_TERMS = 10**7
 
-# default cap used when reporting the diverging N_min near sigma = 1
-DEFAULT_N_CAP = 10**6
-
 # below this Re s no product -s ln(n + a) overflows: |ln(n + a)| <= 745 in doubles
 _HEAD_SAFE_SIGMA = 1e305
 
 # ln(n + a) tables up to this length stay cached after the call; a longer one
 # (up to _EM_MAX_TERMS entries, 80 MB) is built for the call alone
 _CACHED_TERMS = 2**16
-
-
-def _check_a(a: float):
-    if not (0.0 < a <= 1.0):
-        raise ValidationError(f"a must lie in (0, 1], got {a}")
-
-
-def _check_sigma(sigma: float):
-    if not sigma > 1.0:
-        raise ValidationError(f"sigma must exceed 1, got {sigma}")
-    # at sigma = inf, n_min's limit 1 passes as feasible, and tail_bound gives nan or 0
-    if sigma == math.inf:
-        raise ValidationError(f"sigma must be finite, got {sigma}")
-
-
-def _check_n_terms(n_terms) -> int:
-    """n_terms as an int, refusing anything but a positive integer (an integral float counts)."""
-    try:
-        ok = n_terms >= 1 and n_terms == int(n_terms)
-    except (TypeError, ValueError, OverflowError):  # complex, inf, or not a number at all
-        ok = False
-    if not ok:
-        raise ValidationError(f"n_terms must be a positive integer, got {n_terms}")
-    return int(n_terms)
 
 
 @functools.lru_cache(maxsize=1)
@@ -164,42 +135,6 @@ def tail_bound(sigma: float, a: float, n_terms: int) -> float:
     _check_a(a)
     _check_sigma(sigma)
     try:
-        return (_check_n_terms(n_terms) - 1 + a) ** (1.0 - sigma) / (sigma - 1.0)
+        return (_check_count("n_terms", n_terms) - 1 + a) ** (1.0 - sigma) / (sigma - 1.0)
     except OverflowError:  # N - 1 + a < 1 raised to a huge negative power
         return math.inf
-
-
-@dataclass(frozen=True)
-class DomainPoint:
-    """Feasibility record for one sigma of the accessible-domain map."""
-
-    sigma: float
-    n_min: float
-    feasible: bool
-    t_max: float  # inf when no coherence cutoff applies
-
-
-def accessible_domain(sigma_grid, t_coh: float = None, n_cap: int = DEFAULT_N_CAP):
-    """Map each sigma to its minimum truncation order and time window.
-
-    N_min values beyond n_cap are reported saturated at the cap with the
-    feasible flag cleared; the window is [0, t_coh] or unbounded.
-    """
-    if t_coh is not None and not t_coh > 0.0:
-        raise ValidationError(f"t_coh must be positive, got {t_coh}")
-    if not n_cap >= 1:
-        raise ValidationError(f"n_cap must be at least 1, got {n_cap}")
-    t_max = float("inf") if t_coh is None else float(t_coh)
-    points = []
-    for sigma in np.asarray(sigma_grid, dtype=float):
-        nm = n_min(float(sigma))
-        feasible = np.isfinite(nm) and nm <= n_cap
-        points.append(
-            DomainPoint(
-                sigma=float(sigma),
-                n_min=nm if feasible else float(n_cap),
-                feasible=bool(feasible),
-                t_max=t_max,
-            )
-        )
-    return points

@@ -159,14 +159,22 @@ def test_domain_reference_values(tmp_path):
     assert 55.0 <= n_mins[1] < 56.0
     assert abs(n_mins[2] - 3125.0) < 1e-6
     assert n_mins[3] == 1.0
-    assert all(r[3] == "10" for r in rows)
+    assert all(r[2:] == ["1", "10"] for r in rows)
 
 
 def test_domain_unbounded_window(tmp_path):
     out = tmp_path / "domain.csv"
-    assert main(["domain", "--sigmas", "2", "--out", str(out)]) == 0
+    assert main(["domain", "--sigmas", "2,3", "--out", str(out)]) == 0
     _, rows = read_csv(out)
-    assert rows[0][3] == "inf"
+    assert abs(float(rows[1][1]) - 2.0**-0.5) < 1e-15
+    assert all(r[2:] == ["1", "inf"] for r in rows)
+
+
+def test_domain_saturates_near_one(capsys):
+    # n_min(1.000001) overflows to inf, so the row sits at the cap as infeasible
+    assert main(["domain", "--sigmas", "1.000001", "--n-cap", "1000000"]) == 0
+    _, n_min, feasible, t_max = capsys.readouterr().out.splitlines()[1].split(",")
+    assert (float(n_min), feasible, t_max) == (1e6, "0", "inf")
 
 
 def test_design_waveguide_json(tmp_path):
@@ -375,6 +383,38 @@ def test_ode_overflow_names_a_time_before_the_first_sample(capsys):
     assert main(["simulate", "--omega", "1e300", "--points", "3", "--method", "ode"]) == 3
     message = one_json_line(capsys, 3)["message"]
     assert float(message.split("by t = ")[1].split(";")[0]) < 25.0
+
+
+def test_ode_overflow_between_samples_exits_3_naming_its_time(capsys):
+    # RK4 at step 3 is unstable on this chain: the state overflows between the two samples,
+    # and the finiteness check every 256 sub-steps names the time
+    argv = ["simulate", "--method", "ode", "--step", "3", "--t-end", "3000", "--points", "2", "--n", "5", "--a", "0.5"]
+    assert main(argv) == 3
+    diag = one_json_line(capsys, 3)
+    assert diag["error"] == "StepTooLarge"
+    assert diag["message"] == "state overflowed to a non-finite value by t = 1536.0; reduce the step"
+
+
+# a 401-digit integer, and counts above 2**53, raised OverflowError or IndexError out of main
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["synth", "--n", HUGE], "n_levels"),
+        (["simulate", "--points", HUGE], "n_points"),
+        (["simulate", "--points", "9223372036854775807"], "n_points"),
+        (["simulate", "--points", "4611686018427387904"], "n_points"),
+        (["domain", "--sigmas", "1.000001", "--n-cap", HUGE], "n_cap"),
+    ],
+    ids=["synth_n", "simulate_points", "simulate_points_int64_max", "simulate_points_2_62", "domain_n_cap"],
+)
+def test_oversized_integer_flag_exits_2_with_one_json_line(argv, name, capsys):
+    assert main(argv) == 2
+    diag = one_json_line(capsys, 2)
+    assert diag["error"] == "ValidationError"
+    assert diag["message"].startswith(f"{name} must be a positive integer no larger than 2**53, got ")
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,12 @@ def test_log_spectrum_trivial():
         dict(n_levels=5, a=0.5, sigma=math.nan),
         dict(n_levels=5, a=0.5, sigma=2.0, omega=math.inf),
         dict(n_levels=5, a=0.5, sigma=2.0, omega=math.nan),
+        # a str, complex or None count raised a raw TypeError
+        dict(n_levels="5", a=0.5, sigma=2.0),
+        dict(n_levels=3 + 0j, a=0.5, sigma=2.0),
+        dict(n_levels=None, a=0.5, sigma=2.0),
+        # above 2**53 a count has no exact double
+        dict(n_levels=2**53 + 1, a=0.5, sigma=2.0),
     ],
 )
 def test_params_validation(kwargs):

@@ -167,6 +167,27 @@ def test_layout_rejects_unphysical_bend_radius():
         waveguide_layout(GOLDEN_TRI, fab)
 
 
+@pytest.mark.parametrize(
+    "tri,fab,match",
+    [
+        # B_1 - B_0 overflows to inf, which read as a tilt fixed by R <= 0
+        (SymmetricTridiagonal([-1e308, 1e308], [0.5]), FAB, r"bond 0: field step B_1 - B_0 overflows"),
+        # kappa / J_0 overflows to inf, which read as a paraxial bound R > inf
+        (SymmetricTridiagonal([0.0, 0.1], [1e-310]), FAB, r"bond 0: spacing .* = inf"),
+        # ln(kappa / J_0) / alpha underflows to 0, which read as a tilt of 0 / 0
+        (SymmetricTridiagonal([0.0, 0.1], [2.0 - 4e-16]), FabricationConstants(2.0, 1e308, 300.0, 1e-3, 1.5),
+         r"bond 0: spacing .* = 0 "),
+        # d_0 = 2e306 is finite, but 100 d_0 overflowed to the paraxial bound R > inf
+        (SymmetricTridiagonal([0.0, 0.1], [0.5]), FabricationConstants(2.0, 7e-307, 300.0, 1e-3, 1.5),
+         r"bond 0: spacing .* paraxial radius 100 d overflows"),
+    ],
+    ids=["field_step", "spacing_overflow", "spacing_underflow", "paraxial_radius_overflow"],
+)
+def test_layout_refuses_a_bond_that_leaves_the_double_range(tri, fab, match):
+    with pytest.raises(ValidationError, match=match):
+        waveguide_layout(tri, fab)
+
+
 def test_json_export_round_trips_at_full_precision():
     p = SimulationParams(5, 0.5, 2.0)
     tri = synthesize(p)

@@ -58,6 +58,8 @@ def test_time_grid_validation():
         TimeGrid(0.0, 1.0, 1)
     with pytest.raises(ValidationError):
         TimeGrid(0.0, 1.0, 10, t_coh=-1.0)
+    with pytest.raises(ValidationError, match="n_points must be a positive integer"):
+        TimeGrid(0.0, 1.0, 2.5)
     for t_start, t_end in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ValidationError, match="finite"):
             TimeGrid(t_start, t_end, 10)
