@@ -12,6 +12,7 @@ from zetachain import (
     tail_bound,
 )
 from zetachain import zetaref
+from zetachain.cli import main
 from zetachain.zetaref import _EM_MAX_TERMS
 
 
@@ -180,6 +181,24 @@ def test_n_min_ties_truncation_error_to_one():
 def test_n_min_rejects_bad_sigma():
     with pytest.raises(ValidationError):
         n_min(1.0)
+
+
+def _domain_row(capsys, argv):
+    # the accessible domain is tabulated by the domain subcommand, one CSV row per sigma
+    assert main(["domain", *argv]) == 0
+    (row,) = capsys.readouterr().out.splitlines()[1:]
+    _, nm, feasible, t_max = row.split(",")
+    return float(nm), feasible, t_max
+
+
+def test_accessible_domain_with_cutoff(capsys):
+    assert _domain_row(capsys, ["--sigmas", "1.5", "--t-coh", "10"]) == (4.0, "1", "10")
+
+
+def test_accessible_domain_unbounded_window(capsys):
+    nm, feasible, t_max = _domain_row(capsys, ["--sigmas", "3"])
+    assert abs(nm - 2.0**-0.5) < 1e-15
+    assert (feasible, t_max) == ("1", "inf")
 
 
 @pytest.mark.parametrize("sigma,a,n", [(2.0, 1.0, 5), (1.5, 0.5, 20), (3.0, 0.25, 3)])
