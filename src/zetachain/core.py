@@ -9,6 +9,7 @@ runs under omega*H, so time t samples s = sigma + i*omega*t.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,19 @@ __all__ = [
 # np.arange(n, dtype=float), in n - 1 + a and in the 17-digit format
 _MAX_COUNT = 2**53
 
+# the largest finite double: a larger int compares below inf but does not convert to a float
+_MAX_FINITE = sys.float_info.max
+
+
+def _shown(value) -> str:
+    """value as a refusal shows it: a str quoted, an int too long to print (over 4300 digits) by its bit length."""
+    if isinstance(value, str):  # unquoted, "got 0.5" would read as a refused number
+        return repr(value)
+    try:
+        return str(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
 
 def _check_count(name: str, value) -> int:
     """value as an int, refusing anything but a positive integer up to 2**53 (an integral float counts)."""
@@ -35,21 +49,39 @@ def _check_count(name: str, value) -> int:
     except (TypeError, ValueError):  # complex, or not a number at all
         ok = False
     if not ok:
-        raise ValidationError(f"{name} must be a positive integer no larger than 2**53, got {value}")
+        raise ValidationError(f"{name} must be a positive integer no larger than 2**53, got {_shown(value)}")
     return int(value)
 
 
+def _check_positive(name: str, value):
+    """Refuse anything but a positive finite double; a str, complex or None does not compare and is refused."""
+    try:
+        ok = 0.0 < value <= _MAX_FINITE
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValidationError(f"{name} must be positive and finite, got {_shown(value)}")
+
+
 def _check_a(a: float):
-    if not (0.0 < a <= 1.0):
-        raise ValidationError(f"a must lie in (0, 1], got {a}")
+    try:  # hurwitz_zeta checks a once per sample, so a valid a returns at once
+        if 0.0 < a <= 1.0:
+            return
+    except TypeError:
+        pass
+    raise ValidationError(f"a must lie in (0, 1], got {_shown(a)}")
 
 
 def _check_sigma(sigma: float):
-    if not sigma > 1.0:
-        raise ValidationError(f"sigma must exceed 1, got {sigma}")
+    try:
+        ok = sigma > 1.0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValidationError(f"sigma must exceed 1, got {_shown(sigma)}")
     # at sigma = inf, n_min's limit 1 passes as feasible, and tail_bound gives nan or 0
-    if sigma == math.inf:
-        raise ValidationError(f"sigma must be finite, got {sigma}")
+    if sigma > _MAX_FINITE:
+        raise ValidationError(f"sigma must be finite, got {_shown(sigma)}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +103,7 @@ class SimulationParams:
         _check_count("n_levels", self.n_levels)
         _check_a(self.a)
         _check_sigma(self.sigma)
-        if not 0.0 < self.omega < math.inf:
-            raise ValidationError(f"omega must be positive and finite, got {self.omega}")
+        _check_positive("omega", self.omega)
 
 
 @dataclass(frozen=True)

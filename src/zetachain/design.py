@@ -14,12 +14,14 @@ site-energy gradients.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _check_positive
 from .errors import CouplingTooStrong, TiltInfeasible, ValidationError
 from .synthesis import SymmetricTridiagonal
 
@@ -58,9 +60,8 @@ class FabricationConstants:
     n_substrate: float
 
     def __post_init__(self):
-        for name in ("kappa", "alpha", "bend_radius", "lambda_bar", "n_substrate"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValidationError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for f in dataclasses.fields(self):
+            _check_positive(f.name, getattr(self, f.name))
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,8 @@ def waveguide_layout(tri: SymmetricTridiagonal, fab: FabricationConstants) -> Wa
         raise ValidationError(
             f"bend radius {fab.bend_radius:.6g} too small for the paraxial picture; need R > {r_paraxial:.6g}"
         )
-    cos_theta = db * fab.bend_radius * fab.lambda_bar / (fab.n_substrate * d)
+    with np.errstate(over="ignore"):  # a huge R overflows to inf, refused below with its radius advice
+        cos_theta = db * fab.bend_radius * fab.lambda_bar / (fab.n_substrate * d)
     bad = np.flatnonzero(np.abs(cos_theta) > 1.0)
     if bad.size:
         # the largest R keeping every tilted bond realizable
@@ -170,15 +172,8 @@ def waveguide_design_json(design: WaveguideDesign) -> str:
     """Serialize a design as JSON with all reals at 17 significant digits."""
     fab = design.fab
     doc = {
-        "fabrication": {
-            "kappa": _fmt(fab.kappa),
-            "alpha": _fmt(fab.alpha),
-            "bend_radius": _fmt(fab.bend_radius),
-            "lambda_bar": _fmt(fab.lambda_bar),
-            "n_substrate": _fmt(fab.n_substrate),
-            # the straight-axis propagation constant is gauge, so it is written as 0
-            "e_offset": _fmt(0.0),
-        },
+        # the straight-axis propagation constant is gauge, so it is written as 0
+        "fabrication": {f.name: _fmt(getattr(fab, f.name)) for f in dataclasses.fields(fab)} | {"e_offset": _fmt(0.0)},
         "guides": [
             {
                 "index": i,

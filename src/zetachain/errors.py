@@ -5,6 +5,21 @@ InfeasibleDesign) exist so the CLI can map whole families of failures
 onto distinct exit codes.
 """
 
+__all__ = [
+    "ZetachainError",
+    "ValidationError",
+    "DegenerateInput",
+    "DimensionMismatch",
+    "OutOfDomain",
+    "NumericalBreakdown",
+    "DisconnectedChain",
+    "ConvergenceFailure",
+    "StepTooLarge",
+    "InfeasibleDesign",
+    "CouplingTooStrong",
+    "TiltInfeasible",
+]
+
 
 class ZetachainError(Exception):
     """Base class for all package-specific errors."""

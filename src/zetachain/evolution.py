@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _check_count
+from .core import _check_count, _check_positive
 from .errors import StepTooLarge, ValidationError
 from .synthesis import SymmetricTridiagonal
 from .verification import eigh_tridiagonal
@@ -122,13 +122,13 @@ def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_
     I + D(h), keeps the round-off per sub-step at the size of the increment.
 
     Returns the sampled state trajectory and the autocorrelation c_0(t).
-    Raises ValidationError, before any stepping, when the window needs more
-    than _RK4_MAX_STEPS sub-steps in total.  Raises StepTooLarge when the
-    norm drifts by more than 1e-6 at a sample time, or as soon as the state
-    overflows to a non-finite value (checked every few hundred sub-steps).
+    Raises ValidationError, before any stepping, when step is not positive
+    and finite or the window needs more than _RK4_MAX_STEPS sub-steps in
+    total.  Raises StepTooLarge when the norm drifts by more than 1e-6 at a
+    sample time, or as soon as the state overflows to a non-finite value
+    (checked every few hundred sub-steps).
     """
-    if not step > 0.0:
-        raise ValidationError(f"step must be positive, got {step}")
+    _check_positive("step", step)
     t_samples = grid.times()
     # sub-steps per sample interval, counted before any stepping; a zero span takes none
     spans = np.diff(t_samples, prepend=0.0)

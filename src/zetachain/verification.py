@@ -7,13 +7,12 @@ C_n.  Eigenvector signs are left as LAPACK returns them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SimulationParams, log_spectrum, riemann_amplitudes
-from .errors import ConvergenceFailure, DimensionMismatch, ValidationError
+from .core import SimulationParams, _check_positive, log_spectrum, riemann_amplitudes
+from .errors import ConvergenceFailure, DimensionMismatch
 from .synthesis import SymmetricTridiagonal
 
 __all__ = ["EigenDecomposition", "SynthesisReport", "eigh_tridiagonal", "verify_synthesis"]
@@ -90,9 +89,8 @@ def verify_synthesis(
         raise DimensionMismatch(f"matrix order {tri.order} != n_levels {params.n_levels}")
     if tol_lambda is None:
         tol_lambda = 1e-9 * params.n_levels
-    for name, tol in (("tol_lambda", tol_lambda), ("tol_overlap", tol_overlap)):
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ValidationError(f"{name} must be positive and finite, got {tol}")
+    _check_positive("tol_lambda", tol_lambda)
+    _check_positive("tol_overlap", tol_overlap)
     dec = eigh_tridiagonal(tri)
     target = log_spectrum(params)
     amps = riemann_amplitudes(params).amplitudes

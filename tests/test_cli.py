@@ -262,6 +262,7 @@ def test_help_still_exits_0(capsys):
         ["design", "--n", "3", "--lambda", "inf"],
         ["domain", "--sigmas", "inf"],
         ["domain", "--n-cap", "-3"],
+        ["simulate", "--method", "ode", "--step", "inf"],
     ],
 )
 def test_non_finite_input_exits_2_with_one_json_line(argv, capsys):

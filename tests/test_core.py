@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from zetachain import (
     log_spectrum,
     riemann_amplitudes,
 )
+
+LAYERS = ["core", "synthesis", "verification", "evolution", "zetaref", "design", "errors"]
 
 
 def test_log_spectrum_golden_n5():
@@ -55,6 +58,17 @@ def test_log_spectrum_trivial():
         dict(n_levels=None, a=0.5, sigma=2.0),
         # above 2**53 a count has no exact double
         dict(n_levels=2**53 + 1, a=0.5, sigma=2.0),
+        # a str, complex or None a, sigma or omega raised a raw TypeError
+        dict(n_levels=5, a="0.5", sigma=2.0),
+        dict(n_levels=5, a=0.5, sigma="2"),
+        dict(n_levels=5, a=0.5, sigma=2 + 0j),
+        dict(n_levels=5, a=0.5, sigma=2.0, omega="1"),
+        dict(n_levels=5, a=0.5, sigma=2.0, omega=None),
+        # Python refuses to print an int of over 4300 digits, so formatting the refusal raised ValueError
+        dict(n_levels=10**5000, a=0.5, sigma=2.0),
+        # an int beyond the largest double passed as finite, then raised OverflowError
+        dict(n_levels=5, a=0.5, sigma=10**400),
+        dict(n_levels=5, a=0.5, sigma=2.0, omega=10**400),
     ],
 )
 def test_params_validation(kwargs):
@@ -128,10 +142,19 @@ def test_spectrum_strictly_increasing(n):
         assert np.all(np.diff(e) > 0.0)
 
 
-@pytest.mark.parametrize("layer", ["core", "synthesis", "verification", "evolution", "zetaref", "design"])
+@pytest.mark.parametrize("layer", LAYERS)
 def test_every_layer_export_resolves_and_is_reexported(layer):
     # tools that wrap a layer walk its __all__, so a stale name breaks them all
     mod = importlib.import_module(f"zetachain.{layer}")
     for name in mod.__all__:
         assert hasattr(mod, name), f"zetachain.{layer}.__all__ names missing {name}"
         assert getattr(zetachain, name, None) is getattr(mod, name), f"zetachain does not export {name}"
+
+
+def test_package_exports_exactly_the_layers_public_names():
+    # zetachain re-exports each layer's __all__, so a layer without one would leak its imports
+    exported = {
+        name for name, value in vars(zetachain).items() if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    declared = set().union(*(importlib.import_module(f"zetachain.{layer}").__all__ for layer in LAYERS))
+    assert exported == declared

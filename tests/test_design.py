@@ -91,6 +91,9 @@ def test_fabrication_constants_validation():
         FabricationConstants(0.0, 1.0, 300.0, 1e-3, 1.5)
     with pytest.raises(ValidationError):
         FabricationConstants(2.0, 1.0, 300.0, -1e-3, 1.5)
+    # a str constant raised a raw TypeError
+    with pytest.raises(ValidationError, match="n_substrate must be positive and finite, got '1.5'"):
+        FabricationConstants(2.0, 1.0, 300.0, 1e-3, "1.5")
 
 
 def test_layout_first_spacing_inverts_exponential_law():
@@ -146,6 +149,13 @@ def test_layout_tilt_infeasible_names_corrective_radius():
     r_fix = float(msg.rsplit(" ", 1)[-1])
     ok = FabricationConstants(2.0, 1.0, r_fix * 0.999, 0.005, 1.5)
     waveguide_layout(GOLDEN_TRI, ok)
+
+
+def test_layout_tilt_at_a_huge_radius_gives_its_advice_without_a_warning():
+    # the tilt product overflows to inf there; RuntimeWarning is an error in this suite
+    fab = FabricationConstants(2.0, 1.0, 1.7e308, 1e-3, 1.5)
+    with pytest.raises(TiltInfeasible, match=r"= inf > 1; reduce bend radius to at most 1711\.37"):
+        waveguide_layout(synthesize(SimulationParams(5, 0.5, 2.0)), fab)
 
 
 def test_layout_tilt_names_the_binding_bond():

@@ -210,9 +210,11 @@ def test_time_grid_rejects_cutoff_before_start():
     assert TimeGrid(1.0, 5.0, 5, t_coh=1.0).times().tolist() == [1.0]
 
 
-def test_ode_rejects_bad_step():
-    with pytest.raises(ValidationError):
-        evolve_ode(synthesize(GOLDEN_PARAMS), TimeGrid(0.0, 1.0, 3), 0.0)
+# an infinite step ran one RK4 sub-step per sample, and a str or None raised a raw TypeError
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.inf, math.nan, "0.01", None])
+def test_ode_rejects_bad_step(step):
+    with pytest.raises(ValidationError, match="step must be positive"):
+        evolve_ode(synthesize(GOLDEN_PARAMS), TimeGrid(0.0, 1.0, 3), step)
 
 
 def test_ode_step_count_limit_is_inclusive(monkeypatch):

@@ -6,6 +6,7 @@ from zetachain import (
     DimensionMismatch,
     SimulationParams,
     SymmetricTridiagonal,
+    ValidationError,
     eigh_tridiagonal,
     log_spectrum,
     riemann_amplitudes,
@@ -91,6 +92,14 @@ def test_verify_synthesis_on_printed_golden_matrix():
 def test_verify_synthesis_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         verify_synthesis(GOLDEN_TRI, SimulationParams(4, 0.5, 2.0))
+
+
+@pytest.mark.parametrize("tols", [dict(tol_lambda="1e-9"), dict(tol_overlap="1e-9")])
+def test_verify_synthesis_refuses_a_str_tolerance(tols):
+    # math.isfinite raised a raw TypeError on a str
+    p = SimulationParams(5, 0.5, 2.0)
+    with pytest.raises(ValidationError, match="tol_.* must be positive and finite"):
+        verify_synthesis(synthesize(p), p, **tols)
 
 
 def test_first_eigenvector_row_equals_amplitudes():

@@ -183,6 +183,22 @@ def test_n_min_rejects_bad_sigma():
         n_min(1.0)
 
 
+@pytest.mark.parametrize(
+    "fn,args,match",
+    [
+        (hurwitz_zeta, (2.0, "0.5"), r"a must lie in \(0, 1\], got '0.5'"),
+        (hurwitz_zeta, (2.0, None), "a must lie in"),
+        (n_min, ("2",), "sigma must exceed 1"),
+        (n_min, (2 + 0j,), "sigma must exceed 1"),
+        (tail_bound, (2.0, 0.5j, 5), "a must lie in"),
+    ],
+)
+def test_a_and_sigma_rules_refuse_non_numbers(fn, args, match):
+    # each comparison raised a raw TypeError
+    with pytest.raises(ValidationError, match=match):
+        fn(*args)
+
+
 def _domain_row(capsys, argv):
     # the accessible domain is tabulated by the domain subcommand, one CSV row per sigma
     assert main(["domain", *argv]) == 0
@@ -223,7 +239,10 @@ def test_tail_bound_is_inf_where_the_power_overflows():
     assert tail_bound(1e308, 0.5, 2) == 0.0
 
 
-@pytest.mark.parametrize("n_terms", [0, -3, 2.5, 0.5, math.nan, math.inf, -math.inf, 3 + 0j, "5", 2**53 + 1])
+@pytest.mark.parametrize(
+    "n_terms",
+    [0, -3, 2.5, 0.5, math.nan, math.inf, -math.inf, 3 + 0j, "5", 2**53 + 1, pytest.param(10**5000, id="10**5000")],
+)
 def test_n_terms_must_be_a_positive_integer(n_terms):
     # tail_bound(1.5, 0.5, 0) was complex, and a fractional or non-finite count
     # gave nan or a number taken for a bound
