@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .core import SimulationParams, _check_count
+from .core import SimulationParams, _check_count, _require
 from .design import (
     FabricationConstants,
     _fmt,
@@ -150,8 +150,7 @@ def cmd_domain(args) -> int:
         raise ValidationError(f"bad --sigmas value: {exc}")
     if not grid:
         raise ValidationError(f"--sigmas {args.sigmas!r} names no sigma")
-    if args.t_coh is not None and not args.t_coh > 0.0:
-        raise ValidationError(f"t_coh must be positive, got {args.t_coh}")
+    _require("t_coh", args.t_coh, lambda t: t is None or t > 0.0, "be positive")
     n_cap = _check_count("n_cap", args.n_cap)
     # without a coherence cutoff the window is unbounded, which _fmt writes as "inf"
     t_max = _fmt(math.inf if args.t_coh is None else args.t_coh)

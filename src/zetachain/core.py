@@ -42,46 +42,35 @@ def _shown(value) -> str:
         return f"an integer of {value.bit_length()} bits"
 
 
+def _require(name: str, value, test, requirement: str):
+    """Raise ValidationError unless test(value) holds; every scalar rule refuses through here."""
+    try:
+        if test(value):
+            return
+    except (TypeError, ValueError, OverflowError):  # a str, complex or None, or an int beyond the double range
+        pass
+    raise ValidationError(f"{name} must {requirement}, got {_shown(value)}")
+
+
 def _check_count(name: str, value) -> int:
     """value as an int, refusing anything but a positive integer up to 2**53 (an integral float counts)."""
-    try:
-        ok = 1 <= value <= _MAX_COUNT and value == int(value)
-    except (TypeError, ValueError):  # complex, or not a number at all
-        ok = False
-    if not ok:
-        raise ValidationError(f"{name} must be a positive integer no larger than 2**53, got {_shown(value)}")
+    _require(name, value, lambda v: 1 <= v <= _MAX_COUNT and v == int(v), "be a positive integer no larger than 2**53")
     return int(value)
 
 
 def _check_positive(name: str, value):
-    """Refuse anything but a positive finite double; a str, complex or None does not compare and is refused."""
-    try:
-        ok = 0.0 < value <= _MAX_FINITE
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValidationError(f"{name} must be positive and finite, got {_shown(value)}")
+    """Refuse anything but a positive finite double."""
+    _require(name, value, lambda v: 0.0 < v <= _MAX_FINITE, "be positive and finite")
 
 
 def _check_a(a: float):
-    try:  # hurwitz_zeta checks a once per sample, so a valid a returns at once
-        if 0.0 < a <= 1.0:
-            return
-    except TypeError:
-        pass
-    raise ValidationError(f"a must lie in (0, 1], got {_shown(a)}")
+    _require("a", a, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
 
 
 def _check_sigma(sigma: float):
-    try:
-        ok = sigma > 1.0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValidationError(f"sigma must exceed 1, got {_shown(sigma)}")
+    _require("sigma", sigma, lambda v: v > 1.0, "exceed 1")
     # at sigma = inf, n_min's limit 1 passes as feasible, and tail_bound gives nan or 0
-    if sigma > _MAX_FINITE:
-        raise ValidationError(f"sigma must be finite, got {_shown(sigma)}")
+    _require("sigma", sigma, lambda v: v <= _MAX_FINITE, "be finite")
 
 
 @dataclass(frozen=True)

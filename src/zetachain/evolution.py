@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _check_count, _check_positive
+from .core import _check_count, _check_positive, _require
 from .errors import StepTooLarge, ValidationError
 from .synthesis import SymmetricTridiagonal
 from .verification import eigh_tridiagonal
@@ -42,6 +42,8 @@ class TimeGrid:
 
     Samples beyond the coherence cutoff t_coh (when given) are excluded;
     retained samples are never altered, and a cutoff before t_start is rejected.
+    An endpoint or t_coh that is not a number (a str, complex or None), or an
+    int beyond the double range, is refused; t_coh = inf keeps every sample.
     """
 
     t_start: float
@@ -50,16 +52,18 @@ class TimeGrid:
     t_coh: float = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise ValidationError(f"t_start and t_end must be finite, got [{self.t_start}, {self.t_end}]")
+        _require("t_start", self.t_start, math.isfinite, "be finite")
+        _require("t_end", self.t_end, math.isfinite, "be finite")
         if not self.t_start < self.t_end:
             raise ValidationError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
         if not math.isfinite(self.t_end - self.t_start):
             raise ValidationError(f"window length t_end - t_start overflows, got [{self.t_start}, {self.t_end}]")
-        if _check_count("n_points", self.n_points) < 2:
-            raise ValidationError(f"n_points must be >= 2, got {self.n_points}")
-        if self.t_coh is not None and not (self.t_coh > 0.0 and self.t_coh >= self.t_start):
-            raise ValidationError(f"t_coh must be positive and not before t_start = {self.t_start}, got {self.t_coh}")
+        _check_count("n_points", self.n_points)
+        _require("n_points", self.n_points, lambda n: n >= 2, "be >= 2")
+        _require(
+            "t_coh", self.t_coh, lambda t: t is None or (t > 0.0 and t >= self.t_start and (t == math.inf or math.isfinite(t))),
+            f"be positive and not before t_start = {self.t_start}",
+        )
 
     def times(self) -> np.ndarray:
         t = np.linspace(self.t_start, self.t_end, self.n_points)

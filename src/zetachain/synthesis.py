@@ -73,10 +73,7 @@ class SymmetricTridiagonal:
         return self.diagonal.size
 
     def to_dense(self) -> np.ndarray:
-        h = np.diag(self.diagonal)
-        if self.offdiagonal.size:
-            h += np.diag(self.offdiagonal, 1) + np.diag(self.offdiagonal, -1)
-        return h
+        return np.diag(self.diagonal) + np.diag(self.offdiagonal, 1) + np.diag(self.offdiagonal, -1)
 
 
 def orthogonal_completion(amplitudes) -> np.ndarray:

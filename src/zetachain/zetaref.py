@@ -7,13 +7,14 @@ accessible parameter domain.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
 import numpy as np
 
-from .core import _check_a, _check_count, _check_sigma
-from .errors import OutOfDomain, ValidationError
+from .core import _check_a, _check_count, _check_sigma, _require
+from .errors import OutOfDomain
 
 __all__ = [
     "hurwitz_zeta",
@@ -64,14 +65,13 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
 
     M explicit terms, integral term (M+a)**(1-s)/(s-1), half-term, and
     Bernoulli corrections through B_6; M is chosen so the first neglected
-    (B_8) correction is below 1e-13 in absolute value.  Restricted to
-    finite s with Re s > 1 (with a small guard band), M <= 10**7 and a
-    finite value.
+    (B_8) correction is below 1e-13 in absolute value.  Restricted to a
+    finite number s (not a str, None or an int beyond the double range) with
+    Re s > 1 (with a small guard band), M <= 10**7 and a finite value.
     """
     _check_a(a)
+    _require("s", s, cmath.isfinite, "be finite")
     s = complex(s)
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise ValidationError(f"s must be finite, got {s}")
     if s.real <= _SIGMA_GUARD:
         raise OutOfDomain(f"Re s = {s.real} outside convergence strip (need > {_SIGMA_GUARD})")
 

@@ -263,6 +263,8 @@ def test_help_still_exits_0(capsys):
         ["domain", "--sigmas", "inf"],
         ["domain", "--n-cap", "-3"],
         ["simulate", "--method", "ode", "--step", "inf"],
+        ["domain", "--t-coh", "nan"],
+        ["domain", "--t-coh", "-1"],
     ],
 )
 def test_non_finite_input_exits_2_with_one_json_line(argv, capsys):

@@ -63,6 +63,17 @@ def test_time_grid_validation():
     for t_start, t_end in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ValidationError, match="finite"):
             TimeGrid(t_start, t_end, 10)
+    # a non-number raised a raw TypeError and an int beyond the double range an OverflowError
+    for bad in ("0", None, 2 + 0j, 10**400, 10**5000):
+        with pytest.raises(ValidationError, match="t_start must be finite"):
+            TimeGrid(bad, 1.0, 3)
+        with pytest.raises(ValidationError, match="t_end must be finite"):
+            TimeGrid(0.0, bad, 3)
+    # t_coh = None is the default, no cutoff; a huge int passed a bare comparison, then overflowed in times()
+    for bad in ("0", "5", 2 + 0j, 10**400, 10**5000):
+        with pytest.raises(ValidationError, match="t_coh must be positive"):
+            TimeGrid(0.0, 1.0, 3, t_coh=bad)
+    assert TimeGrid(0.0, 1.0, 3, t_coh=math.inf).times().tolist() == [0.0, 0.5, 1.0]
 
 
 def test_time_grid_rejects_a_window_length_beyond_double_range():

@@ -158,7 +158,20 @@ def test_hurwitz_refuses_s_out_of_double_range(s, a):
         hurwitz_zeta(s, a)
 
 
-@pytest.mark.parametrize("s", [math.inf, complex(2.0, math.inf), complex(math.nan, 1.0), complex(2.0, math.nan)])
+# "1.5" returned a value, None raised a raw TypeError and an int beyond the double range an OverflowError
+@pytest.mark.parametrize(
+    "s",
+    [
+        math.inf,
+        complex(2.0, math.inf),
+        complex(math.nan, 1.0),
+        complex(2.0, math.nan),
+        "1.5",
+        None,
+        pytest.param(10**400, id="10**400"),
+        pytest.param(10**5000, id="10**5000"),
+    ],
+)
 def test_hurwitz_rejects_non_finite_s(s):
     with pytest.raises(ValidationError, match="finite"):
         hurwitz_zeta(s, 0.5)
