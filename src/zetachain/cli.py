@@ -27,26 +27,19 @@ from .design import (
     waveguide_design_json,
     waveguide_layout,
 )
-from .errors import InfeasibleDesign, NumericalBreakdown, OutOfDomain, ValidationError, ZetachainError
+from .errors import ValidationError, ZetachainError
 from .evolution import DEFAULT_STEP, TimeGrid, evolve_ode, evolve_spectral
 from .synthesis import SymmetricTridiagonal, synthesize
 from .verification import DEFAULT_TOL_OVERLAP, verify_synthesis
 from .zetaref import hurwitz_zeta, n_min
 
-# exception family -> exit code; 1 is reserved for a failed `verify`
-_EXIT_CODES = (
-    (ValidationError, 2),
-    (NumericalBreakdown, 3),
-    (OutOfDomain, 4),
-    (InfeasibleDesign, 5),
-)
-
 _SIMULATE_COLUMNS = ("t", "re_a", "im_a", "abs_a", "re_zeta_norm_ref", "im_zeta_norm_ref", "abs_deviation")
 
 
-def _diagnostic(exc: Exception, code: int):
+def _diagnostic(exc: Exception, code: int) -> int:
     line = json.dumps({"error": type(exc).__name__, "message": str(exc), "exit_code": code})
     print(line, file=sys.stderr)
+    return code
 
 
 def _write_text(path, text: str):
@@ -114,8 +107,7 @@ def cmd_verify(args) -> int:
     report = verify_synthesis(tri, params, args.tol_lambda, args.tol_overlap)
     print(_report_summary(report))
     if not report.passed:
-        _diagnostic(ValidationError("synthesis verification failed"), 1)
-        return 1
+        return _diagnostic(ValidationError("synthesis verification failed"), 1)
     return 0
 
 
@@ -282,14 +274,10 @@ def main(argv=None) -> int:
             return args.func(args)
     # e.g. numpy refusing an oversized --points grid, or an --out path that cannot be written
     except (MemoryError, OSError) as exc:
-        _diagnostic(ValidationError(str(exc)), 2)
-        return 2
+        return _diagnostic(ValidationError(str(exc)), ValidationError.exit_code)
+    # each family carries its exit code; 1 is reserved for a failed `verify`
     except ZetachainError as exc:
-        for family, code in _EXIT_CODES:
-            if isinstance(exc, family):
-                _diagnostic(exc, code)
-                return code
-        raise
+        return _diagnostic(exc, exc.exit_code)
 
 
 if __name__ == "__main__":

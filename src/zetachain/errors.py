@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The three intermediate bases (ValidationError, NumericalBreakdown,
-InfeasibleDesign) exist so the CLI can map whole families of failures
-onto distinct exit codes.
+Each family the CLI reports carries its exit code as the class attribute
+exit_code: ValidationError 2, NumericalBreakdown 3, OutOfDomain 4 and
+InfeasibleDesign 5, inherited by every subclass.
 """
 
 __all__ = [
@@ -28,6 +28,8 @@ class ZetachainError(Exception):
 class ValidationError(ZetachainError):
     """Invalid parameters or inputs outside the supported domain."""
 
+    exit_code = 2
+
 
 class DegenerateInput(ValidationError):
     """Input vector fails a norm or rank precondition."""
@@ -40,9 +42,13 @@ class DimensionMismatch(ValidationError):
 class OutOfDomain(ZetachainError):
     """Zeta oracle queried outside its convergence strip."""
 
+    exit_code = 4
+
 
 class NumericalBreakdown(ZetachainError):
     """A numerical procedure lost the accuracy it is contracted to keep."""
+
+    exit_code = 3
 
 
 class DisconnectedChain(NumericalBreakdown):
@@ -59,6 +65,8 @@ class StepTooLarge(NumericalBreakdown):
 
 class InfeasibleDesign(ZetachainError):
     """Requested hardware layout violates a fabrication constraint."""
+
+    exit_code = 5
 
 
 class CouplingTooStrong(InfeasibleDesign):

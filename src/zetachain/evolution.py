@@ -144,9 +144,10 @@ def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_
             f"step {step:.3e} needs {n_total:.3e} RK4 sub-steps over the window (limit {_RK4_MAX_STEPS:.0e})"
         )
     n = tri.order
-    # H / rho with rho a power of two: an exact scaling that keeps (H / rho)^k finite
+    # H / rho with rho a power of two: an exact scaling that keeps (H / rho)^k finite;
+    # rho = 2**(e - 1) <= entry_max, so it stays finite up to the largest double
     entry_max = max(np.abs(tri.diagonal).max(), np.abs(tri.offdiagonal).max(initial=0.0))
-    rho = math.ldexp(1.0, math.frexp(entry_max)[1])
+    rho = math.ldexp(0.5, math.frexp(entry_max)[1])
     d = tri.diagonal[:, None] / rho
     e = tri.offdiagonal[:, None] / rho
 

@@ -1,17 +1,17 @@
 """Synthesis of the tridiagonal Hamiltonian with prescribed spectrum and overlaps.
 
 Reference pipeline: diagonal seed -> orthogonal completion of the
-amplitude vector -> similarity transform -> Householder
-tridiagonalization (LAPACK dsytrd).  The chain is the Jacobi matrix of
-the discrete measure with nodes E_n and weights C_n**2, which has a
-unique tridiagonal representation with positive off-diagonals, so two
-routes build it straight from the measure: synthesize() by RKPW Givens
-chasing in O(N) memory and pure numpy, and the independent cross-oracle
-lanczos_synthesis() by dsytrd on the bordered matrix
-[[0, C^T], [C, diag(E)]].  Both end in _jacobi_chain, the one rule for a
-valid chain: hoppings |J_k|, and DisconnectedChain at the first one below
-the breakdown floor or not finite.  The stepwise public functions remain
-as the reference route.
+amplitude vector (Gram-Schmidt, as a sign-fixed LAPACK QR) -> similarity
+transform -> Householder tridiagonalization (LAPACK dsytrd).  The chain
+is the Jacobi matrix of the discrete measure with nodes E_n and weights
+C_n**2, which has a unique tridiagonal representation with positive
+off-diagonals, so two routes build it straight from the measure:
+synthesize() by RKPW Givens chasing in O(N) memory and pure numpy, and
+the independent cross-oracle lanczos_synthesis() by dsytrd on the
+bordered matrix [[0, C^T], [C, diag(E)]].  Both end in _jacobi_chain, the
+one rule for a valid chain: hoppings |J_k|, and DisconnectedChain at the
+first one below the breakdown floor or not finite.  The stepwise public
+functions remain as the reference route.
 """
 
 from __future__ import annotations
@@ -79,14 +79,13 @@ class SymmetricTridiagonal:
 def orthogonal_completion(amplitudes) -> np.ndarray:
     """Complete a unit vector to an orthonormal basis with it as first column.
 
-    Gram-Schmidt over the ordered candidates {C, e_0, e_1, ..., e_{N-1}},
-    evaluated in closed form.  Dimension counting guarantees that exactly
-    one candidate's residual collapses and is skipped; the skipped index
-    keeps its weight in every later tail, which is the skip-free formula
-    with that index moved to the end.  In that order, with tail norms
-    r_k = |C_{k:}|, candidate e_k leaves the residual
-    e_k - C_k C_{k:} / r_k**2 of norm r_{k+1} / r_k, so column k+1 is
-    r_{k+1} / r_k at row k and -C_i C_k / (r_k r_{k+1}) at rows i > k.
+    Gram-Schmidt over the ordered candidates {C, e_0, e_1, ..., e_{N-1}}.
+    Dimension counting guarantees that exactly one candidate's residual
+    collapses and is skipped: e_k leaves a residual of norm
+    |C_{k+1:}| / |C_{k:}|, so it is the first e_k where that ratio falls
+    below the skip tolerance, else e_{N-1}.  Gram-Schmidt on the N columns
+    left is their QR factorization with diag(R) > 0, taken from LAPACK's
+    Householder QR with each column's sign fixed; column 0 is C / |C|.
     """
     c = np.asarray(amplitudes, dtype=float)
     n = c.size
@@ -99,20 +98,8 @@ def orthogonal_completion(amplitudes) -> np.ndarray:
     # underflow to 0 for a subnormal r_k and hide a tail that is exactly zero
     collapsed = tail[1:] / _GS_SKIP_TOL < tail[:-1]
     skip = int(np.argmax(collapsed)) if collapsed.any() else n - 1
-    order = np.r_[0:skip, skip + 1 : n, skip]
-    cp = c[order]
-    r = np.hypot.accumulate(np.abs(cp[::-1]))[::-1]
-    q = np.empty((n, n))
-    q[:, 0] = cp
-    # below the diagonal both factors of -(C_i / r_{k+1}) (C_k / r_k) are <= 1 in
-    # magnitude, so tiny tails neither underflow nor overflow; above it, where
-    # tril discards the product, a tail below ~1e-308 can overflow it to inf or nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        q[:, 1:] = np.tril(-(cp[:, None] / r[1:]) * (cp[:-1] / r[:-1]), -1)
-    q[np.arange(n - 1), np.arange(1, n)] = r[1:] / r[:-1]
-    basis = np.empty_like(q)
-    basis[order] = q
-    return basis
+    q, r = np.linalg.qr(np.column_stack([c, np.delete(np.eye(n), skip, axis=1)]))
+    return q * np.copysign(1.0, np.diag(r))
 
 
 def similarity_transform(spectrum, basis: np.ndarray) -> np.ndarray:
@@ -185,6 +172,9 @@ def _check_dense_fits(n: int):
         )
 
 
+# a bulge and B_j both 0 (an amplitude underflowed to 0) give cos, sin = 0/0: the NaN
+# ends as a hopping that _jacobi_chain refuses, so it is not also warned about
+@np.errstate(invalid="ignore")
 def _rkpw(nodes: np.ndarray, amplitudes: np.ndarray):
     """Jacobi matrix of the measure with nodes x_n and weights C_n**2 by RKPW: (diagonal, hoppings).
 

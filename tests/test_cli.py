@@ -430,6 +430,8 @@ def test_oversized_integer_flag_exits_2_with_one_json_line(argv, name, capsys):
         (["verify", "--n", "30", "--a", "0.01", "--sigma", "200"], "DisconnectedChain"),
         # RK4 at step 1e-3 overflows to NaN under omega * H
         (["simulate", "--omega", "1e300", "--points", "3", "--method", "ode"], "StepTooLarge"),
+        # an entry of omega * H at or above 2**1023 must not overflow the RK4 scaling to a traceback
+        (["simulate", "--n", "5", "--omega", "1e308", "--method", "ode", "--points", "3"], "StepTooLarge"),
     ],
 )
 def test_numerical_breakdown_exits_3_with_one_json_line(argv, error, capsys):

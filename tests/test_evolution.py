@@ -203,6 +203,14 @@ def test_ode_overflow_to_nan_is_step_too_large():
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_ode_entries_near_the_double_limit_are_step_too_large():
+    # |entry| >= 2**1023: the power-of-two scale rho must stay finite, not overflow to a traceback
+    tri = SymmetricTridiagonal(np.array([1e308, -1e308]), np.array([1e308]))
+    with pytest.raises(StepTooLarge):
+        evolve_ode(tri, TimeGrid(0.0, 1.0, 3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_ode_stops_at_the_first_non_finite_state():
     # the state is NaN after one sub-step; the run stops within a few hundred
     # sub-steps instead of stepping on NaN until the first sample at t = 25

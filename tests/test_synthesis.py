@@ -191,6 +191,14 @@ def test_completion_matches_gram_schmidt_reference(name):
     assert np.abs(t.T @ t - np.eye(c.size)).max() < 1e-13
 
 
+def test_completion_of_a_nearly_unit_vector_is_orthonormal():
+    # |C| = 1 + 4e-11 passes the 1e-10 unit-norm check; the basis still starts at C / |C|
+    c = riemann_amplitudes(SimulationParams(40, 0.5, 2.0)).amplitudes * (1.0 + 4e-11)
+    t = orthogonal_completion(c)
+    assert np.abs(t.T @ t - np.eye(c.size)).max() < 1e-13
+    np.testing.assert_allclose(t[:, 0], c / np.linalg.norm(c), rtol=0, atol=1e-15)
+
+
 def test_completion_early_skip_moves_past_e0():
     # with e_0 skipped, column 1 comes from e_1 and is e_1 up to C_1 * C_0 ~ 1e-20
     c = COMPLETION_CASES["early_skip_a0.01_s20"]
@@ -676,6 +684,16 @@ def test_rkpw_chase_overflows_to_a_non_finite_hopping():
     with np.errstate(over="ignore", invalid="ignore"):
         _, hoppings = synthesis._rkpw(np.array([-1e308, 1e308]), np.array([0.6, 0.8]))
     assert hoppings.tolist() == [math.inf]
+
+
+@pytest.mark.parametrize(
+    "p", [SimulationParams(2, 1.0, 1e300), SimulationParams(5, 1.0, 3000.0), SimulationParams(3, 0.5, 5000.0)]
+)
+def test_synthesize_refuses_an_underflowed_amplitude_without_a_warning(p):
+    # C_n underflows to 0, so a rotation divides 0 by 0; under -W error the refusal,
+    # not that warning, must reach the caller
+    with pytest.raises(DisconnectedChain, match=r"hopping J_0 = 0\.000e\+00"):
+        synthesize(p)
 
 
 def test_synthesize_maps_a_non_finite_hopping_to_disconnected_chain(monkeypatch):
