@@ -9,7 +9,6 @@ runs under omega*H, so time t samples s = sigma + i*omega*t.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +26,6 @@ __all__ = [
 # the largest integer every double holds exactly; counts become doubles in
 # np.arange(n, dtype=float), in n - 1 + a and in the 17-digit format
 _MAX_COUNT = 2**53
-
-# the largest finite double: a larger int compares below inf but does not convert to a float
-_MAX_FINITE = sys.float_info.max
 
 
 def _shown(value) -> str:
@@ -60,7 +56,7 @@ def _check_count(name: str, value) -> int:
 
 def _check_positive(name: str, value):
     """Refuse anything but a positive finite double."""
-    _require(name, value, lambda v: 0.0 < v <= _MAX_FINITE, "be positive and finite")
+    _require(name, value, lambda v: v > 0.0 and math.isfinite(v), "be positive and finite")
 
 
 def _check_a(a: float):
@@ -70,7 +66,15 @@ def _check_a(a: float):
 def _check_sigma(sigma: float):
     _require("sigma", sigma, lambda v: v > 1.0, "exceed 1")
     # at sigma = inf, n_min's limit 1 passes as feasible, and tail_bound gives nan or 0
-    _require("sigma", sigma, lambda v: v <= _MAX_FINITE, "be finite")
+    _require("sigma", sigma, math.isfinite, "be finite")
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """value as a float array, refusing a complex, str or object array instead of casting it; the array is never shown."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be a real array, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
 
 
 @dataclass(frozen=True)

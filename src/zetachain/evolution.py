@@ -154,38 +154,33 @@ def evolve_ode(tri: SymmetricTridiagonal, grid: TimeGrid, step: float = DEFAULT_
     # (H / rho)^k e_j lives on rows j-4..j+4 for k <= 4, so the w interleaved
     # probes sum_{j = r mod w} e_j, 9 sites apart, carry every band entry unmixed
     w = min(9, n)
-    x = np.zeros((n, w))
-    x[np.arange(n), np.arange(n) % w] = 1.0
-    rows = np.concatenate([np.arange(max(-k, 0), n - max(k, 0)) for k in range(-4, 5)])
-    cols = np.concatenate([np.arange(max(k, 0), n + min(k, 0)) for k in range(-4, 5)])
-    probe_cols = cols % w
+    x = np.eye(w)[np.arange(n) % w]
+    offsets = np.arange(-4, 5)
+    rows = np.concatenate([np.arange(max(-k, 0), n - max(k, 0)) for k in offsets])
+    cols = rows + np.repeat(offsets, np.maximum(n - np.abs(offsets), 0))
     bands = []
     for _ in range(4):
         y = d * x
         y[:-1] += e * x[1:]
         y[1:] += e * x[:-1]
         x = y
-        bands.append(x[rows, probe_cols])
+        bands.append(x[rows, cols % w])
     bands = np.array(bands)
     increment = np.zeros((n, n), dtype=complex)
-
-    def rk4_advance(c, t0, t1, n_sub):
-        h = (t1 - t0) / n_sub
-        z = -1j * h * rho
-        increment[rows, cols] = np.cumprod([z, z / 2.0, z / 3.0, z / 4.0]) @ bands
-        for i in range(1, n_sub + 1):
-            c += increment.dot(c)  # ndarray.dot: less call overhead than @ on small chains
-            if i % _FINITE_CHECK_EVERY == 0 and not np.isfinite(c).all():
-                raise StepTooLarge(f"state overflowed to a non-finite value by t = {t0 + i * h}; reduce the step")
-        return c
-
     c = np.zeros(n, dtype=complex)
     c[0] = 1.0
     states = np.empty((t_samples.size, n), dtype=complex)
     t_prev = 0.0
     for i, t in enumerate(t_samples):
         if t != t_prev:
-            c = rk4_advance(c, t_prev, t, int(n_subs[i]))
+            n_sub = int(n_subs[i])
+            h = (t - t_prev) / n_sub
+            z = -1j * h * rho
+            increment[rows, cols] = np.cumprod([z, z / 2.0, z / 3.0, z / 4.0]) @ bands
+            for j in range(1, n_sub + 1):
+                c += increment.dot(c)  # ndarray.dot: less call overhead than @ on small chains
+                if j % _FINITE_CHECK_EVERY == 0 and not np.isfinite(c).all():
+                    raise StepTooLarge(f"state overflowed to a non-finite value by t = {t_prev + j * h}; reduce the step")
             t_prev = t
         states[i] = c
         drift = abs(np.linalg.norm(c) - 1.0)

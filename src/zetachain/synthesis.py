@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SimulationParams, log_spectrum, riemann_amplitudes
+from .core import SimulationParams, _real_array, log_spectrum, riemann_amplitudes
 from .errors import DegenerateInput, DimensionMismatch, DisconnectedChain, ValidationError
 
 __all__ = [
@@ -55,8 +55,7 @@ class SymmetricTridiagonal:
     offdiagonal: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        d = np.asarray(self.diagonal, dtype=float)
-        e = np.asarray(self.offdiagonal, dtype=float)
+        d, e = _real_array("diagonal", self.diagonal), _real_array("offdiagonal", self.offdiagonal)
         object.__setattr__(self, "diagonal", d)
         object.__setattr__(self, "offdiagonal", e)
         if d.ndim != 1 or d.size < 1:
@@ -87,7 +86,7 @@ def orthogonal_completion(amplitudes) -> np.ndarray:
     left is their QR factorization with diag(R) > 0, taken from LAPACK's
     Householder QR with each column's sign fixed; column 0 is C / |C|.
     """
-    c = np.asarray(amplitudes, dtype=float)
+    c = _real_array("amplitudes", amplitudes)
     n = c.size
     # a NaN norm passes the comparison, so finiteness is checked on its own
     if not np.isfinite(c).all() or abs(np.linalg.norm(c) - 1.0) > 1e-10:
@@ -104,8 +103,8 @@ def orthogonal_completion(amplitudes) -> np.ndarray:
 
 def similarity_transform(spectrum, basis: np.ndarray) -> np.ndarray:
     """Conjugate the diagonal seed into the new basis: T^T diag(E) T."""
-    e = np.asarray(spectrum, dtype=float)
-    t = np.asarray(basis, dtype=float)
+    e = _real_array("spectrum", spectrum)
+    t = _real_array("basis", basis)
     if t.shape != (e.size, e.size):
         raise DimensionMismatch(f"basis shape {t.shape} incompatible with {e.size} energies")
     h = t.T @ (e[:, None] * t)
@@ -119,6 +118,8 @@ def _tridiagonalize(a: np.ndarray):
     """
     from scipy.linalg import lapack  # imported here so that `import zetachain` stays light
 
+    if a.size == 0:
+        raise ValidationError(f"expected a nonempty matrix, got shape {a.shape}")
     n = a.shape[0]
     if a.shape != (n, n):
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
@@ -137,7 +138,7 @@ def householder_tridiagonalize(dense: np.ndarray):
     """
     from scipy.linalg import lapack
 
-    packed, d, e, tau = _tridiagonalize(np.array(dense, dtype=float, order="F"))
+    packed, d, e, tau = _tridiagonalize(np.array(_real_array("dense", dense), order="F"))
     n = d.size
     # the reflectors act on rows 1.. only, so Q = diag(1, Q') and Q' is the
     # QR-convention product of the vectors packed below the subdiagonal
@@ -269,8 +270,8 @@ def lanczos_synthesis(energies, amplitudes) -> SymmetricTridiagonal:
     that are not finite and distinct or weights that are not finite and
     positive, and DisconnectedChain as synthesize() does.
     """
-    e = np.asarray(energies, dtype=float)
-    c = np.asarray(amplitudes, dtype=float)
+    e = _real_array("energies", energies)
+    c = _real_array("amplitudes", amplitudes)
     n = e.size
     if c.size != n:
         raise DimensionMismatch(f"{c.size} amplitudes for {n} nodes")

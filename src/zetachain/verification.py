@@ -67,7 +67,7 @@ def eigh_tridiagonal(tri: SymmetricTridiagonal) -> EigenDecomposition:
             import scipy.linalg  # imported here so that `import zetachain` stays light
 
             lam, vec = scipy.linalg.eigh_tridiagonal(tri.diagonal, tri.offdiagonal)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     return EigenDecomposition(lam, vec)
 

@@ -482,3 +482,14 @@ def test_short_chains_leave_scipy_linalg_unloaded(command, n, tmp_path):
         timeout=60,
     )
     assert proc.stderr.split() == ["0", str(n > 16 and command != "design")]
+
+
+def test_eigensolver_failure_exits_3_with_one_json_line(monkeypatch, capsys):
+    def no_convergence(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    assert main(["verify", "--n", "5"]) == 3
+    diag = one_json_line(capsys, 3)
+    assert diag["error"] == "ConvergenceFailure"
+    assert diag["message"] == "Eigenvalues did not converge"

@@ -1,16 +1,20 @@
 import importlib
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import zetachain
 from zetachain import (
+    FabricationConstants,
     SimulationParams,
     ValidationError,
     log_spectrum,
+    n_min,
     riemann_amplitudes,
+    tail_bound,
 )
 
 LAYERS = ["core", "synthesis", "verification", "evolution", "zetaref", "design", "errors"]
@@ -158,3 +162,20 @@ def test_package_exports_exactly_the_layers_public_names():
     }
     declared = set().union(*(importlib.import_module(f"zetachain.{layer}").__all__ for layer in LAYERS))
     assert exported == declared
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SimulationParams(5, 0.5, np.float32(2.0), np.float32(1.0)),
+        lambda: FabricationConstants(np.float32(2), 1, 300, 1e-3, 1.5),
+        lambda: n_min(np.float32(2.0)),
+        lambda: tail_bound(np.float16(2.0), 0.5, 5),
+    ],
+    ids=["params", "fabrication", "n_min", "tail_bound"],
+)
+def test_narrow_float_scalars_pass_the_finite_rules_without_a_warning(call):
+    # a bound at the largest double overflows when numpy casts it to float32 or float16
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call()

@@ -766,3 +766,26 @@ def test_tridiagonal_rejects_non_finite_entries(bad):
         SymmetricTridiagonal(np.array([0.0, bad]), np.array([0.5]))
     with pytest.raises(ValidationError, match="finite"):
         SymmetricTridiagonal(np.array([0.0, 1.0]), np.array([bad]))
+
+
+ARRAY_ENTRY_POINTS = {
+    "SymmetricTridiagonal": lambda v: SymmetricTridiagonal(v, np.array([0.5])),
+    "orthogonal_completion": orthogonal_completion,
+    "similarity_transform": lambda v: similarity_transform(v, np.eye(2)),
+    "householder_tridiagonalize": lambda v: householder_tridiagonalize(np.diag(v)),
+    "lanczos_synthesis": lambda v: lanczos_synthesis(v, np.array([0.6, 0.8])),
+}
+
+
+@pytest.mark.parametrize("bad", [np.array([2 + 1j, 1.0]), np.array(["1.5", "2"])], ids=["complex", "str"])
+@pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+def test_array_inputs_refuse_complex_and_str_instead_of_casting(entry, bad):
+    # a cast would drop the imaginary part, or parse the numerals, and carry on;
+    # the message names the argument and the dtype, never the array
+    with pytest.raises(ValidationError, match=rf"^\w+ must be a real array, got dtype {re.escape(str(bad.dtype))}$"):
+        ARRAY_ENTRY_POINTS[entry](bad)
+
+
+def test_householder_refuses_an_empty_matrix():
+    with pytest.raises(ValidationError, match=r"^expected a nonempty matrix, got shape \(0, 0\)$"):
+        householder_tridiagonalize(np.zeros((0, 0)))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from zetachain import synthesis
 from zetachain import (
+    ConvergenceFailure,
     DimensionMismatch,
     SimulationParams,
     SymmetricTridiagonal,
@@ -125,3 +127,15 @@ def test_gauge_invariance_of_eigendata():
         np.abs(dec_a.eigenvectors[0, :]), np.abs(dec_b.eigenvectors[0, :]), atol=1e-12
     )
 
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("n,solver", [(5, (np.linalg, "eigh")), (17, (scipy.linalg, "eigh_tridiagonal"))])
+def test_eigensolver_failure_is_convergence_failure(n, solver, monkeypatch):
+    # N = 5 runs numpy's dense eigh, N = 17 scipy's tridiagonal solver
+    monkeypatch.setattr(*solver, _no_convergence)
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        eigh_tridiagonal(synthesize(SimulationParams(n, 0.5, 2.0)))
